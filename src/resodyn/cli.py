@@ -29,6 +29,7 @@ from .statistics import (
     phi_pf,
     sample_velocities_direct,
     sample_velocities_representation,
+    singular_points,
     velocity_pdf,
 )
 from .twolevel import (
@@ -141,6 +142,14 @@ def _emit_json(output, payload: dict):
 
 def _complex_json(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
+
+
+def _masked_pdf(points: np.ndarray, m: int, kind: str):
+    """velocity_pdf on a grid, NaN at the singular points; returns (pdf, mask)."""
+    singular = singular_points(points, m)
+    pdf = np.full(points.shape, np.nan)
+    pdf[~singular] = velocity_pdf(points[~singular], m, kind)
+    return pdf, singular
 
 
 def _numeric_guard(fn):
@@ -386,12 +395,7 @@ def cmd_ensemble(ctx, model, n_levels, n_channels, realizations, window, route, 
     density = counts / max(samples.n_samples, 1) / np.diff(edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
     kind = "pf" if cfg.model.is_rigid else "goe"
-    pdf_vals = np.empty_like(centers)
-    for i, c in enumerate(centers):
-        try:
-            pdf_vals[i] = velocity_pdf(float(c), cfg.n_channels, kind)
-        except ValueError:
-            pdf_vals[i] = np.nan
+    pdf_vals, _ = _masked_pdf(centers, cfg.n_channels, kind)
 
     moment, moment_se = samples.second_moment()
     comments = [
@@ -428,7 +432,7 @@ def cmd_dist(ctx, model, n_channels, y, y_min, y_max, steps, output, config):
     """Tabulate the analytic kernels and velocity distributions on a grid.
 
     Columns: y, phi_goe, phi_pf, pdf (selected model), large_m_pf, singular.
-    A singular point (y = 0 with M = 1) is marked, not silently filled.
+    A singular point (|y| < 1e-10 with M = 1) is marked, not silently filled.
     """
     _load_config_file(ctx, config)
     _require(ctx, "model", "n_channels")
@@ -446,18 +450,10 @@ def cmd_dist(ctx, model, n_channels, y, y_min, y_max, steps, output, config):
         grid = np.linspace(p["y_min"], p["y_max"], p["steps"])
     kind = "pf" if p["model"] in ("pf", "picket-fence") else "goe"
 
-    rows = np.empty((grid.size, 6))
-    for i, point in enumerate(grid):
-        singular = m == 1 and point == 0.0
-        pdf_val = np.nan if singular else velocity_pdf(float(point), m, kind)
-        rows[i] = (
-            point,
-            phi_goe(point),
-            phi_pf(point),
-            pdf_val,
-            large_m_limit_pf(point, m),
-            float(singular),
-        )
+    pdf, singular = _masked_pdf(grid, m, kind)
+    rows = np.column_stack(
+        [grid, phi_goe(grid), phi_pf(grid), pdf, large_m_limit_pf(grid, m), singular]
+    )
     cfg = {
         "command": "dist", "model": kind, "m": m,
         "y": p["y"], "y_min": p["y_min"], "y_max": p["y_max"], "steps": p["steps"],

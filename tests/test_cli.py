@@ -183,6 +183,10 @@ class TestEnsembleCommand:
         assert rows.shape == (61, 6)
         assert any(c.startswith("# second_moment:") for c in comments)
         assert rows[:, 3].sum() <= 40 * 25
+        # the single-channel curve is NaN exactly at the singular center bin
+        centers, pdf = rows[:, 2], rows[:, 5]
+        np.testing.assert_array_equal(np.isnan(pdf), np.abs(centers) < 1e-10)
+        assert np.isnan(pdf[30])
 
     def test_seed_reproducibility_bytes(self, runner, tmp_path):
         args = ["ensemble", "--model", "picket-fence", "--n", "250", "--m", "1",
@@ -240,6 +244,21 @@ class TestDistCommand:
         values = line.split(",")
         assert float(values[2]) == math.pi / 4.0
         assert values[3] == "nan" and values[5] == "1"
+
+    @pytest.mark.parametrize(
+        "grid_args",
+        [["--y-min", "-0.3", "--y-max", "0.7", "--steps", "11"], ["--y", "1e-11"]],
+    )
+    def test_rigid_single_channel_near_zero_is_marked(self, runner, grid_args):
+        # the linspace point next to zero is 5.55e-17, not 0.0
+        result = runner.invoke(main, ["dist", "--model", "pf", "--m", "1", *grid_args])
+        assert result.exit_code == 0, result.output
+        rows = [line.split(",") for line in result.output.strip().splitlines()
+                if not line.startswith(("#", "y,"))]
+        marked = [row for row in rows if row[5] == "1"]
+        assert len(marked) == 1 and marked[0][3] == "nan"
+        assert abs(float(marked[0][0])) < 1e-10
+        assert all(row[3] != "nan" for row in rows if row[5] == "0")
 
     def test_goe_curve_normalization(self, runner, tmp_path):
         out = tmp_path / "dist.csv"

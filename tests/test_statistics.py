@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import gammaln
 from scipy.stats import chi2 as chi2_dist
 from scipy.stats import kstest
 
@@ -26,7 +27,7 @@ from resodyn import (
     velocity_cdf,
     velocity_pdf,
 )
-from resodyn.statistics import _window_offsets
+from resodyn.statistics import SINGULAR_Y, _window_offsets, singular_points
 
 
 def pf_config(m=1, realizations=200, window=25, seed=7, route="direct", n=250):
@@ -132,6 +133,14 @@ class TestKernels:
         assert phi_pf(223.0) > 0.0
         assert phi_pf(1e6) == 0.0
 
+    def test_goe_kernel_huge_argument_is_finite(self):
+        # (1 + y^2)^(5/2) overflows beyond y ~ 1e61 and y^2 beyond 1e154;
+        # the stable form follows the |y|^-3 tail down to its underflow
+        assert phi_goe(1e100) == pytest.approx(1.0 / 6e300, rel=1e-14)
+        assert phi_goe(1e200) == 0.0
+        assert phi_goe(-1e200) == 0.0
+        assert velocity_pdf(1e200, 2, "goe") == 0.0
+
     def test_pf_fourier_transform(self):
         def rigidity_product(w):
             return w / math.sinh(w) if w != 0.0 else 1.0
@@ -184,6 +193,75 @@ class TestVelocityDistribution:
         half, _ = integrate.quad(lambda y: velocity_pdf(y, 2, "pf"), 0.0, 1.3,
                                  epsabs=1e-12, epsrel=1e-10)
         assert abs(velocity_cdf(1.3, 2, "pf") - (0.5 + half)) <= 1e-9
+
+
+def adaptive_mixture(y, m, kernel, weight_power, epsabs, epsrel):
+    """Independent adaptive evaluation of the chi-square mixtures of
+    velocity_pdf (weight_power m-2) and velocity_cdf (m-1) by scipy quad.
+
+    The integral over t (kappa = t^2) is split at the kernel's switch
+    t = |y|, and also at t = 1 for 0 < |y| < 1: without that cut the 1/t
+    integrand of the single-channel density over the ten decades above
+    |y| = 1e-10 misses the requested tolerance by up to a factor of nine.
+    """
+    log_norm = -0.5 * m * math.log(2.0) - gammaln(0.5 * m)
+
+    def integrand(t):
+        if t <= 0.0:
+            return 0.0
+        log_w = weight_power * math.log(t) - 0.5 * t * t + log_norm
+        return 2.0 * math.exp(log_w) * kernel(y / t)
+
+    split = abs(y)
+    if 0.0 < split < 1.0:
+        cuts = [0.0, split, 1.0, np.inf]
+    elif 0.0 < split < 10.0:
+        cuts = [0.0, split, np.inf]
+    else:
+        cuts = [0.0, np.inf]
+    return sum(
+        integrate.quad(integrand, a, b, epsabs=epsabs, epsrel=epsrel, limit=200)[0]
+        for a, b in zip(cuts[:-1], cuts[1:])
+    )
+
+
+class TestMixtureRuleOracle:
+    """The fixed trapezoid rule of velocity_pdf/velocity_cdf against the
+    adaptive reference, from the singular edge out to the far tails."""
+
+    @pytest.mark.parametrize("model", ["pf", "goe"])
+    @pytest.mark.parametrize("m", [1, 2, 5, 10])
+    def test_matches_adaptive_quadrature(self, m, model):
+        kernel, kernel_cdf = {"pf": (phi_pf, phi_pf_cdf), "goe": (phi_goe, phi_goe_cdf)}[model]
+        half = [1e-10] if m == 1 else []
+        half += [0.01, 1.0, 10.0, 50.0, 500.0]
+        ys = np.array(([] if m == 1 else [0.0]) + half + [-y for y in half])
+        pdf = velocity_pdf(ys, m, model)
+        cdf = velocity_cdf(ys, m, model)
+        for y, p, c in zip(ys, pdf, cdf):
+            ref = adaptive_mixture(y, m, kernel, m - 2, epsabs=0.0, epsrel=1e-10)
+            assert abs(p - ref) <= 1e-10 * ref, (y, p, ref)
+            ref_cdf = adaptive_mixture(y, m, kernel_cdf, m - 1, epsabs=1e-14, epsrel=1e-12)
+            assert abs(c - ref_cdf) <= 1e-12, (y, c, ref_cdf)
+
+    def test_scalar_in_float_out(self):
+        grid = velocity_pdf(np.array([0.3, 2.0]), 2, "goe")
+        assert isinstance(velocity_pdf(2.0, 2, "goe"), float)
+        assert velocity_pdf(2.0, 2, "goe") == pytest.approx(grid[1], rel=1e-14)
+        assert isinstance(velocity_cdf(0.3, 2, "goe"), float)
+
+    def test_singular_threshold(self):
+        ys = np.array([-SINGULAR_Y / 2, 0.0, SINGULAR_Y, 1.0])
+        np.testing.assert_array_equal(singular_points(ys, 1), [True, True, False, False])
+        assert not singular_points(ys, 2).any()
+        with pytest.raises(ValueError, match="singular"):
+            velocity_pdf(1e-11, 1, "pf")
+        assert velocity_pdf(SINGULAR_Y, 1, "pf") > 0.0
+
+    def test_huge_channel_count_refused(self):
+        assert velocity_cdf(0.0, 5000, "pf") == pytest.approx(0.5, abs=1e-11)
+        with pytest.raises(ValueError, match="too large"):
+            velocity_cdf(0.0, 10000, "pf")
 
 
 class TestLargeChannelLimit:
