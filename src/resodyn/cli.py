@@ -55,39 +55,6 @@ _NUMERIC_ERRORS = (
 
 
 # ---------------------------------------------------------------------------
-# matrix file formats
-# ---------------------------------------------------------------------------
-
-
-def write_real_matrix(path: str, matrix) -> None:
-    """Write a real matrix as plain CSV, one row per line."""
-    m = np.atleast_2d(np.asarray(matrix, dtype=float))
-    _atomic_write(path, "\n".join(",".join(_fmt(x) for x in row) for row in m) + "\n")
-
-
-def read_real_matrix(path: str) -> np.ndarray:
-    """Read a real matrix written by :func:`write_real_matrix`."""
-    return np.loadtxt(path, delimiter=",", ndmin=2)
-
-
-def write_complex_matrix(path: str, matrix) -> None:
-    """Write a complex matrix as CSV with paired (re, im) columns."""
-    m = np.atleast_2d(np.asarray(matrix, dtype=complex))
-    paired = np.empty((m.shape[0], 2 * m.shape[1]))
-    paired[:, 0::2] = m.real
-    paired[:, 1::2] = m.imag
-    write_real_matrix(path, paired)
-
-
-def read_complex_matrix(path: str) -> np.ndarray:
-    """Read a complex matrix written by :func:`write_complex_matrix`."""
-    paired = read_real_matrix(path)
-    if paired.shape[1] % 2:
-        raise ValueError(f"{path}: odd column count, expected paired (re, im) columns")
-    return paired[:, 0::2] + 1j * paired[:, 1::2]
-
-
-# ---------------------------------------------------------------------------
 # output plumbing
 # ---------------------------------------------------------------------------
 

@@ -145,8 +145,10 @@ def _ep_distance(eps, nu):
     return np.minimum(np.abs(eps - nu), np.abs(eps + nu))
 
 
-def _ep_scale(p: TwoLevelParams, eps, nu):
-    return np.maximum(np.maximum(np.abs(eps), np.abs(nu)), abs(p.delta))
+def _near_ep(p: TwoLevelParams, eps, nu):
+    """Within relative tolerance of an exceptional point (eps = +-nu)."""
+    scale = np.maximum(np.maximum(np.abs(eps), np.abs(nu)), abs(p.delta))
+    return _ep_distance(eps, nu) < EP_REL_TOL * scale
 
 
 def two_level_hamiltonian(p: TwoLevelParams) -> np.ndarray:
@@ -196,7 +198,7 @@ def closed_form_resonances(p: TwoLevelParams, alpha: float | None = None):
     a = p.alpha if alpha is None else alpha
     eps, nu = _eps_nu(p, a)
     root = _branch_root(eps, nu)
-    if _ep_distance(eps, nu) < EP_REL_TOL * _ep_scale(p, eps, nu):
+    if _near_ep(p, eps, nu):
         warnings.warn(
             f"parameters sit at an exceptional point (alpha={a!r}); "
             "resonances are confluent",
@@ -219,7 +221,7 @@ def mixing_state(p: TwoLevelParams, alpha: float | None = None) -> MixingState:
     eps, nu = _eps_nu(p, a)
     root = _branch_root(eps, nu)
     f = complex(_mixing(eps, nu, root))
-    exceptional = bool(_ep_distance(eps, nu) < EP_REL_TOL * _ep_scale(p, eps, nu))
+    exceptional = bool(_near_ep(p, eps, nu))
     if exceptional:
         warnings.warn(
             f"mixing parameter at an exceptional point (alpha={a!r}, f={f:.6g})",
@@ -369,6 +371,18 @@ class SweepResult:
         )
 
 
+def _branch_values(p: TwoLevelParams, alphas: np.ndarray):
+    """eps, nu, root, f and dGamma1 on the principal branch over a grid."""
+    eps, nu = _eps_nu(p, alphas)
+    eps = np.broadcast_to(eps, alphas.shape).astype(complex)
+    nu = np.broadcast_to(nu, alphas.shape).astype(complex)
+    root = _branch_root(eps, nu)
+    f = _mixing(eps, nu, root)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dg1 = _width_velocity_raw(f, p.d, p.v)
+    return eps, nu, root, f, dg1
+
+
 def sweep(p: TwoLevelParams, alpha_grid) -> SweepResult:
     """Evaluate the closed-form trajectory over a strictly increasing grid."""
     alphas = np.asarray(alpha_grid, dtype=float)
@@ -377,20 +391,13 @@ def sweep(p: TwoLevelParams, alpha_grid) -> SweepResult:
     if alphas.size > 1 and not (np.diff(alphas) > 0).all():
         raise ValueError("alpha grid must be strictly increasing")
 
-    eps, nu = _eps_nu(p, alphas)
-    eps = np.broadcast_to(eps, alphas.shape).astype(complex)
-    nu = np.broadcast_to(nu, alphas.shape).astype(complex)
-    root = _branch_root(eps, nu)
+    eps, nu, root, f, dg1 = _branch_values(p, alphas)
     center = -0.25j * (p.gamma1 + p.gamma2)
     v1 = center + 0.5 * root
     v2 = center - 0.5 * root
+    ep_mask = _near_ep(p, eps, nu)
 
-    ep_dist = _ep_distance(eps, nu)
-    ep_mask = ep_dist < EP_REL_TOL * _ep_scale(p, eps, nu)
-
-    f = _mixing(eps, nu, root)
     with np.errstate(divide="ignore", invalid="ignore"):
-        dg1 = _width_velocity_raw(f, p.d, p.v)
         de1 = _energy_velocity_raw(f, p.d, p.v)
         u11, u12_im, _ = _u_entries(f)
 
@@ -426,7 +433,7 @@ def sweep(p: TwoLevelParams, alpha_grid) -> SweepResult:
         de1=de1,
         u11_re=u11,
         u12_im=u12_im,
-        ep_distance=ep_dist,
+        ep_distance=_ep_distance(eps, nu),
         swapped=swapped,
         exceptional_rows=np.flatnonzero(bad),
     )
@@ -437,14 +444,9 @@ def _scan_width_velocity(p: TwoLevelParams, bracket, scan_points):
     if not hi > lo:
         raise ValueError("bracket must satisfy lo < hi")
     grid = np.linspace(lo, hi, scan_points)
-    eps, nu = _eps_nu(p, grid)
-    eps = np.broadcast_to(eps, grid.shape).astype(complex)
-    nu = np.broadcast_to(nu, grid.shape).astype(complex)
-    f = _mixing(eps, nu, _branch_root(eps, nu))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dg1 = _width_velocity_raw(f, p.d, p.v)
-        re_f = f.real
-    bad = _ep_distance(eps, nu) < EP_REL_TOL * _ep_scale(p, eps, nu)
+    eps, nu, _, f, dg1 = _branch_values(p, grid)
+    re_f = f.real
+    bad = _near_ep(p, eps, nu)
     dg1[bad] = np.nan
     re_f[bad] = np.nan
     return grid, dg1, re_f

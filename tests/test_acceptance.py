@@ -1,58 +1,82 @@
 """Acceptance suite: every release criterion at its pinned tolerance.
 
-Each test prints one `criterion NN (name): PASS/FAIL` line (visible with
-``pytest -s``) and then asserts, so a red run still reports every criterion
-it reached.  The Monte-Carlo sample sets are computed once per session and
-shared between the variance and goodness-of-fit criteria.
+Criteria 01-08 run entries of the check table in :mod:`resodyn.verify`, the
+code behind ``resodyn verify``, at the sizes, seeds, tolerances and time
+bounds pinned in :data:`CRITERIA`.  Each test prints one
+`criterion NN (name): PASS/FAIL` line (visible with ``pytest -s``) and then
+asserts, so a red run still reports every criterion it reached.  The
+rigid-spectrum sample sets are drawn once per session and shared between
+the variance and goodness-of-fit criteria.
 """
 
 import math
 import time
-from functools import partial
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from scipy import integrate
 
 from resodyn import (
-    EnsembleConfig,
-    InteriorPerturbation,
-    SpectrumModel,
-    bell_steinberger,
-    build_effective_hamiltonian,
-    closed_form_resonances,
-    compare_histogram,
-    diagonalize,
-    energy_velocity,
-    finite_difference_velocities,
-    find_alpha_star,
-    first_order_shift,
-    mixing_state,
-    phi_goe,
-    phi_pf,
-    sample_couplings,
-    sample_goe,
-    sample_velocities_direct,
-    sweep,
-    two_level_system,
-    velocity_cdf,
-    velocity_pdf,
-    weak_coupling_width_velocity,
-    width_shift_from_U,
-    width_velocity,
     TwoLevelParams,
+    find_alpha_star,
+    mixing_state,
+    sweep,
+    width_velocity,
 )
 from resodyn.cli import main as cli_main
-from resodyn.verify import random_two_level_params
+from resodyn.verify import CHECKS, rigid_samples as draw_rigid_samples
 
-CHANNELS = (1, 2, 5, 10)
+RIGID_SEED = 7
+
+# number: (name, time bound in s, seed, ((check, size, tolerance), ...)).
+# An integer seed starts one generator that the checks draw from in turn;
+# None marks deterministic checks or the shared rigid samples (RIGID_SEED).
+CRITERIA = {
+    1: ("sum rules", 10, 2001, (("two_level_sum_rules", (10_000, 801), 1e-12),)),
+    2: ("closed form vs eigensolver", 10, 2001,
+        (("closed_form_vs_eigensolver", 10_000, 1e-10),)),
+    3: ("perturbation consistency", 30, 2003, (
+        ("two_level_velocities_vs_finite_difference", 2000, 1e-4),
+        ("width_shift_route_consistency", 20, 1e-10),
+    )),
+    4: ("weak-coupling velocity formula", 60, 2004,
+        (("weak_coupling_vs_finite_difference", 100, 1e-3),)),
+    5: ("equidistant-spectrum variance", 120, None, (
+        ("rigid_variance_quadrature", None, 1e-6),
+        ("rigid_variance_monte_carlo", None, 3.0),
+    )),
+    6: ("direct-matrix distribution reproduction", 900, None,
+        (("direct_route_chi_square", None, 0.01),)),
+    7: ("chaotic-spectrum tail", 10, None, (
+        ("goe_tail_exponent", None, 0.05),
+        ("kernel_spot_values", None, (2.0 / 3.0, math.pi / 4.0)),
+    )),
+    8: ("normalizations", 30, None, (
+        ("kernel_normalization", None, 1e-10),
+        ("velocity_pdf_normalization", None, 1e-6),
+    )),
+}
 
 
 def report(number: int, name: str, passed: bool, detail: str):
     tag = "PASS" if passed else "FAIL"
     print(f"criterion {number:02d} ({name}): {tag} - {detail}")
     assert passed, f"criterion {number:02d} ({name}): {detail}"
+
+
+def check_criterion(number: int, source=None, *extra):
+    """Run a criterion's checks and report; `extra` adds (passed, detail) pairs."""
+    name, bound_s, seed, pinned = CRITERIA[number]
+    start = time.perf_counter()
+    if seed is not None:
+        source = np.random.default_rng(seed)
+    results = [CHECKS[check].run(source, size, tol) for check, size, tol in pinned]
+    elapsed = time.perf_counter() - start
+    outcomes = [(r.passed, f"{r.name}: {r.detail}") for r in results] + list(extra)
+    report(
+        number, name, all(ok for ok, _ in outcomes) and elapsed < bound_s,
+        "; ".join(detail for _, detail in outcomes) + f"; {elapsed:.1f}s (< {bound_s}s)",
+    )
 
 
 @pytest.fixture(scope="module")
@@ -62,231 +86,42 @@ def reference():
     )
 
 
-@pytest.fixture(scope="module")
-def param_grid():
-    rng = np.random.default_rng(2001)
-    return [random_two_level_params(rng) for _ in range(10000)]
-
-
-@pytest.fixture(scope="module")
+@pytest.fixture(scope="session")
 def rigid_samples():
-    out = {}
-    for m in CHANNELS:
-        cfg = EnsembleConfig(
-            n_levels=250, n_channels=m, realizations=2000, central_window=25,
-            seed=7, model=SpectrumModel.picket_fence(), route="direct",
-        )
-        out[m] = sample_velocities_direct(cfg)
-    return out
+    return draw_rigid_samples(RIGID_SEED)
 
 
-def test_criterion_01_sum_rules(param_grid):
-    start = time.time()
-    grid = np.linspace(-2.0, 2.0, 801)
-    worst = 0.0
-    for p in param_grid:
-        table = sweep(p, grid)
-        scale = p.gamma1 + p.gamma2 + abs(p.delta)
-        defect = max(
-            np.abs(table.e1 + table.e2).max(),
-            np.abs(table.gamma1 + table.gamma2 - (p.gamma1 + p.gamma2)).max(),
-        )
-        worst = max(worst, defect / scale)
-    elapsed = time.time() - start
-    report(
-        1, "sum rules", worst <= 1e-12 and elapsed < 10,
-        f"worst scaled defect {worst:.2e} over 1e4 sweeps of 801 points "
-        f"(tol 1e-12), {elapsed:.1f}s (< 10s)",
-    )
+def test_criterion_01_sum_rules():
+    check_criterion(1)
 
 
-def test_criterion_02_closed_form_vs_eigensolver(param_grid):
-    start = time.time()
-    worst = 0.0
-    for p in param_grid:
-        exact = sorted(closed_form_resonances(p), key=lambda z: (z.real, z.imag))
-        numeric = sorted(diagonalize(two_level_system(p)).values,
-                         key=lambda z: (z.real, z.imag))
-        worst = max(worst, max(abs(a - b) for a, b in zip(exact, numeric)))
-    elapsed = time.time() - start
-    report(
-        2, "closed form vs eigensolver", worst <= 1e-10 and elapsed < 10,
-        f"worst eigenvalue deviation {worst:.2e} over 1e4 systems (tol 1e-10), "
-        f"{elapsed:.1f}s (< 10s)",
-    )
+def test_criterion_02_closed_form_vs_eigensolver():
+    check_criterion(2)
 
 
 def test_criterion_03_perturbation_consistency():
-    start = time.time()
-    rng = np.random.default_rng(2003)
-    step = 1e-6
-
-    worst_velocity = 0.0
-    for _ in range(2000):
-        p = random_two_level_params(rng, min_ep_distance=0.1)
-        f = mixing_state(p).f
-        gdot, _ = width_velocity(f, p.d, p.v)
-        edot, _ = energy_velocity(f, p.d, p.v)
-        base = closed_form_resonances(p)
-        stencil = []
-        for da in (step, -step):
-            pair = closed_form_resonances(p, p.alpha + da)
-            if abs(pair[0] - base[0]) + abs(pair[1] - base[1]) > abs(
-                pair[1] - base[0]
-            ) + abs(pair[0] - base[1]):
-                pair = (pair[1], pair[0])
-            stencil.append(pair[0])
-        deriv = (stencil[0] - stencil[1]) / (2 * step)
-        scale = max(abs(gdot), abs(edot), 1e-6)
-        worst_velocity = max(
-            worst_velocity,
-            max(abs(gdot + 2 * deriv.imag), abs(edot - deriv.real)) / scale,
-        )
-
-    # width shift through the nonorthogonality matrix vs the direct first
-    # order shift, relative with a floor at 1e-3 of the shift scale
-    worst_shift = 0.0
-    for _ in range(20):
-        n = int(rng.integers(5, 26))
-        h = sample_goe(n, rng)
-        a = sample_couplings(n, 3, 0.05, rng)
-        heff = build_effective_hamiltonian(h, a)
-        try:
-            sys = diagonalize(heff)
-        except Exception:
-            continue
-        u = bell_steinberger(sys)
-        x = rng.standard_normal((n, n))
-        pert = InteriorPerturbation(v_matrix=0.5 * (x + x.T), strength=0.37)
-        scale = 0.37 * np.linalg.norm(pert.v_matrix, 2)
-        for level in range(n):
-            direct = first_order_shift(sys, pert, level).delta_width
-            via_u = width_shift_from_U(u, sys, pert, level)
-            worst_shift = max(
-                worst_shift, abs(via_u - direct) / max(abs(direct), 1e-3 * scale)
-            )
-    elapsed = time.time() - start
-    report(
-        3, "perturbation consistency",
-        worst_velocity <= 1e-4 and worst_shift <= 1e-10 and elapsed < 30,
-        f"velocities vs finite differences {worst_velocity:.2e} (tol 1e-4); "
-        f"width-shift route agreement {worst_shift:.2e} (tol 1e-10); "
-        f"{elapsed:.1f}s (< 30s)",
-    )
+    check_criterion(3)
 
 
 def test_criterion_04_weak_coupling_formula():
-    start = time.time()
-    rng = np.random.default_rng(2004)
-    n = 25
-    worst = 0.0
-    for _ in range(100):
-        while True:
-            h = sample_goe(n, rng)
-            levels, basis = np.linalg.eigh(h)
-            if np.diff(levels).min() > 0.2:
-                break
-        a = sample_couplings(n, 2, 1e-3, rng)  # gamma_bar / spacing = 1e-3
-        x = rng.standard_normal((n, n))
-        v = 0.5 * (x + x.T)
-        heff = build_effective_hamiltonian(h, a)
-        pert = InteriorPerturbation(v_matrix=v, strength=0.0)
-        _, fd = finite_difference_velocities(heff, pert)
-        formula = np.array(
-            [weak_coupling_width_velocity(levels, basis, a, v, k) for k in range(n)]
-        )
-        # relative to the instance's velocity scale
-        worst = max(worst, np.abs(formula - fd).max() / np.abs(formula).max())
-    elapsed = time.time() - start
-    report(
-        4, "weak-coupling velocity formula", worst <= 1e-3 and elapsed < 60,
-        f"worst scale-relative deviation {worst:.2e} over 100 trials (tol 1e-3), "
-        f"{elapsed:.1f}s (< 60s)",
-    )
+    check_criterion(4)
 
 
 def test_criterion_05_rigid_variance(rigid_samples):
-    start = time.time()
-    worst_quad = 0.0
-    for m in CHANNELS:
-        half, _ = integrate.quad(
-            lambda y: y * y * velocity_pdf(y, m, "pf"), 0.0, np.inf,
-            epsabs=1e-10, epsrel=1e-9, limit=300,
-        )
-        worst_quad = max(worst_quad, abs(2 * half - m / 3.0))
-    worst_z = 0.0
-    counts_ok = True
-    for m, samples in rigid_samples.items():
-        counts_ok = counts_ok and samples.n_samples >= 50000
-        moment, se = samples.second_moment()
-        worst_z = max(worst_z, abs(moment - m / 3.0) / se)
-    elapsed = time.time() - start
-    report(
-        5, "equidistant-spectrum variance",
-        worst_quad <= 1e-6 and worst_z <= 3.0 and counts_ok and elapsed < 120,
-        f"quadrature |moment - M/3| {worst_quad:.2e} (tol 1e-6); "
-        f"Monte-Carlo worst |z| {worst_z:.2f} (<= 3) at >= 5e4 samples; "
-        f"{elapsed:.1f}s (< 120s)",
-    )
+    fewest = min(samples.n_samples for samples in rigid_samples.values())
+    check_criterion(5, rigid_samples, (fewest >= 50_000, f"{fewest} samples per M (>= 5e4)"))
 
 
 def test_criterion_06_direct_route_distribution(rigid_samples):
-    start = time.time()
-    details = []
-    ok = True
-    for m, samples in rigid_samples.items():
-        fit = compare_histogram(
-            samples,
-            partial(velocity_pdf, m=m, model="pf"),
-            cdf=partial(velocity_cdf, m=m, model="pf"),
-        )
-        ok = ok and fit.p_value >= 0.01
-        details.append(f"M={m}: p={fit.p_value:.3f}")
-    elapsed = time.time() - start
-    report(
-        6, "direct-matrix distribution reproduction", ok and elapsed < 900,
-        "; ".join(details) + f" (all >= 0.01), {elapsed:.1f}s (< 900s)",
-    )
+    check_criterion(6, rigid_samples)
 
 
 def test_criterion_07_goe_tail():
-    start = time.time()
-    ys = np.geomspace(50.0, 500.0, 9)
-    worst_slope = 0.0
-    for m in CHANNELS:
-        slope = np.polyfit(np.log(ys), np.log(velocity_pdf(ys, m, "goe")), 1)[0]
-        worst_slope = max(worst_slope, abs(slope + 3.0))
-    spots = phi_goe(0.0) == 2.0 / 3.0 and phi_pf(0.0) == math.pi / 4.0
-    elapsed = time.time() - start
-    report(
-        7, "chaotic-spectrum tail", worst_slope <= 0.05 and spots and elapsed < 10,
-        f"worst |slope + 3| = {worst_slope:.3f} on y in [50, 500] (tol 0.05); "
-        f"kernel spot values exact: {spots}; {elapsed:.1f}s (< 10s)",
-    )
+    check_criterion(7)
 
 
 def test_criterion_08_normalizations():
-    start = time.time()
-    worst_kernel = 0.0
-    for kernel in (phi_goe, phi_pf):
-        val, _ = integrate.quad(kernel, -np.inf, np.inf, epsabs=1e-13, epsrel=1e-12)
-        worst_kernel = max(worst_kernel, abs(val - 1.0))
-    worst_mixture = 0.0
-    for model in ("pf", "goe"):
-        for m in (2, 5, 10):
-            half, _ = integrate.quad(
-                lambda y: velocity_pdf(y, m, model), 0.0, np.inf,
-                epsabs=1e-10, epsrel=1e-9, limit=300,
-            )
-            worst_mixture = max(worst_mixture, abs(2 * half - 1.0))
-    elapsed = time.time() - start
-    report(
-        8, "normalizations",
-        worst_kernel <= 1e-10 and worst_mixture <= 1e-6 and elapsed < 30,
-        f"kernels |int - 1| {worst_kernel:.2e} (tol 1e-10); mixtures "
-        f"{worst_mixture:.2e} for M in (2,5,10), both models (tol 1e-6); "
-        f"{elapsed:.1f}s (< 30s)",
-    )
+    check_criterion(8)
 
 
 def test_criterion_09_nonorthogonality_link(reference):

@@ -4,14 +4,9 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from scipy.integrate import trapezoid
 
-from resodyn.cli import (
-    main,
-    read_complex_matrix,
-    read_real_matrix,
-    write_complex_matrix,
-    write_real_matrix,
-)
+from resodyn.cli import main
 
 FIG_ARGS = [
     "--delta", "1", "--d", "1", "--v", "0.75",
@@ -36,26 +31,6 @@ def read_csv(path):
             else:
                 rows.append([float(x) for x in line.split(",")])
     return comments, header, np.array(rows)
-
-
-class TestMatrixIO:
-    def test_real_round_trip(self, tmp_path, rng):
-        m = rng.standard_normal((4, 3))
-        path = tmp_path / "m.csv"
-        write_real_matrix(path, m)
-        np.testing.assert_array_equal(read_real_matrix(path), m)
-
-    def test_complex_round_trip(self, tmp_path, rng):
-        m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        path = tmp_path / "m.csv"
-        write_complex_matrix(path, m)
-        np.testing.assert_array_equal(read_complex_matrix(path), m)
-
-    def test_complex_rejects_odd_columns(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        write_real_matrix(path, np.zeros((2, 3)))
-        with pytest.raises(ValueError, match="paired"):
-            read_complex_matrix(path)
 
 
 class TestSweepCommand:
@@ -272,7 +247,7 @@ class TestDistCommand:
         grid, pdf = rows[:, 0], rows[:, 3]
         from resodyn import velocity_cdf
 
-        covered = np.trapezoid(pdf, grid)
+        covered = trapezoid(pdf, grid)
         tail = 2.0 * velocity_cdf(-10.0, 2, "goe")
         assert abs(covered + tail - 1.0) <= 1e-4
 
@@ -285,7 +260,7 @@ class TestDistCommand:
         )
         assert result.exit_code == 0
         _, _, rows = read_csv(out)
-        assert abs(np.trapezoid(rows[:, 3], rows[:, 0]) - 1.0) <= 1e-4
+        assert abs(trapezoid(rows[:, 3], rows[:, 0]) - 1.0) <= 1e-4
 
 
 class TestVerifyCommand:
