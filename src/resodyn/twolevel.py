@@ -319,7 +319,10 @@ class SweepResult:
     ``swapped`` marks rows where the continuous label 1 is the - branch of
     the closed form.  On such rows the reported f is the reciprocal of the
     branch value (the mixing parameter of the relabeled eigenvector pair)
-    and the off-diagonal U sign follows the label order.  Rows within
+    and the off-diagonal U sign follows the label order.  Where the branch
+    value is f = 0 on a swapped row, the relabeled pair's mixing is
+    unbounded: f alone is NaN there, while velocities and U stay finite
+    (both are invariant under f -> 1/f up to the label sign).  Rows within
     tolerance of an exceptional point keep their (confluent) energies and
     widths but carry NaN mixing/velocity/U entries and are listed in
     ``exceptional_rows``; ``segments`` gives the index ranges between them.
@@ -417,10 +420,9 @@ def sweep(p: TwoLevelParams, alpha_grid) -> SweepResult:
     de1 = sign * de1
     u12_im = sign * u12_im
 
-    bad = ep_mask | ~np.isfinite(f_out)
-    f_out = np.where(bad, np.nan + 1j * np.nan, f_out)
+    f_out = np.where(ep_mask | ~np.isfinite(f_out), np.nan + 1j * np.nan, f_out)
     for arr in (dg1, de1, u11, u12_im):
-        arr[bad] = np.nan
+        arr[ep_mask] = np.nan
 
     return SweepResult(
         alpha=alphas,
@@ -435,7 +437,7 @@ def sweep(p: TwoLevelParams, alpha_grid) -> SweepResult:
         u12_im=u12_im,
         ep_distance=_ep_distance(eps, nu),
         swapped=swapped,
-        exceptional_rows=np.flatnonzero(bad),
+        exceptional_rows=np.flatnonzero(ep_mask),
     )
 
 

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import gammaln
 from scipy.stats import chi2 as chi2_dist
-from scipy.stats import kstest
+from scipy.stats import ks_2samp, kstest
 
 from resodyn import (
     EnsembleConfig,
@@ -27,7 +28,12 @@ from resodyn import (
     velocity_cdf,
     velocity_pdf,
 )
-from resodyn.statistics import SINGULAR_Y, _window_offsets, singular_points
+from resodyn.statistics import (
+    SINGULAR_Y,
+    _goe_tridiagonal_levels,
+    _window_offsets,
+    singular_points,
+)
 
 
 def pf_config(m=1, realizations=200, window=25, seed=7, route="direct", n=250):
@@ -56,6 +62,34 @@ class TestEnsembles:
             levels = np.linalg.eigvalsh(sample_goe(250, rng))
             gaps.extend(np.diff(np.sort(levels[np.abs(levels) < 10.0])))
         assert abs(np.mean(gaps) - 1.0) <= 0.02
+
+    # the 20 gaps between the 21 levels around index (250 - 1) // 2: gaps
+    # picked by a fixed energy window are biased short, since the ones
+    # straddling its edges are the size-biased long ones
+    CENTRAL = slice(114, 135)
+
+    def test_tridiagonal_center_spacing(self):
+        # same normalization as the dense matrix: the mean central gap is
+        # `spacing`, checked at a non-unit spacing
+        spacing = 0.5
+        gaps = [
+            np.diff(_goe_tridiagonal_levels(250, substream(31, r), spacing)[self.CENTRAL])
+            for r in range(100)
+        ]
+        assert abs(np.mean(gaps) / spacing - 1.0) <= 0.02
+
+    def test_tridiagonal_spacings_match_dense_goe(self, rng):
+        # central nearest-neighbour spacings of the tridiagonal model and of
+        # the dense matrix follow one law
+        tri = np.concatenate([
+            np.diff(_goe_tridiagonal_levels(250, substream(32, r), 1.0)[self.CENTRAL])
+            for r in range(300)
+        ])
+        dense = np.concatenate([
+            np.diff(np.linalg.eigvalsh(sample_goe(250, rng))[self.CENTRAL])
+            for _ in range(300)
+        ])
+        assert ks_2samp(tri, dense).pvalue >= 0.01
 
     def test_picket_fence_small(self):
         np.testing.assert_array_equal(picket_fence_spectrum(3, 1.0), [-1.0, 0.0, 1.0])
@@ -303,6 +337,43 @@ class TestRepresentationRoute:
             expected = math.sqrt(kappa) / math.pi * np.sum(z * v / (-offsets))
             assert got[r] == expected
 
+    def test_reproduces_documented_goe_stream_layout(self):
+        # GOE realization = (kappa, diagonal, off-diagonal, z, v); the
+        # reference is the level of index (n - 1) // 2 of the tridiagonal
+        # beta = 1 spectrum
+        n, window, spacing = 40, 9, 0.7
+        cfg = EnsembleConfig(
+            n_levels=n, n_channels=2, realizations=5, central_window=window,
+            seed=321, model=SpectrumModel.goe(spacing), route="representation",
+        )
+        with pytest.warns(TruncationWarning):
+            got = sample_velocities_representation(cfg).values
+        sigma = math.sqrt(n) * spacing / math.pi
+        ref = (n - 1) // 2
+        for r in range(5):
+            gen = substream(321, r)
+            kappa = gen.chisquare(2)
+            d = sigma * math.sqrt(2.0) * gen.standard_normal(n)
+            e = sigma * np.sqrt(gen.chisquare(np.arange(n - 1, 0, -1)))
+            z = gen.standard_normal(window - 1)
+            v = gen.standard_normal(window - 1)
+            levels = eigvalsh_tridiagonal(d, e, lapack_driver="sterf", check_finite=False)
+            denom = levels[ref] - levels[ref + _window_offsets(window)]
+            expected = math.sqrt(kappa) / math.pi * spacing * float(np.sum(z * v / denom))
+            assert got[r] == expected
+
+    def test_goe_reference_gaps_are_not_size_biased(self):
+        # the gaps next to the fixed-index reference have mean `spacing`;
+        # the level nearest zero would sit next to gaps about 10% wider
+        n = 250
+        ref = (n - 1) // 2
+        gaps = np.empty(4000)
+        for r in range(gaps.size):
+            levels = _goe_tridiagonal_levels(n, substream(2024, r), 1.0)
+            gaps[r] = 0.5 * (levels[ref + 1] - levels[ref - 1])
+        se = gaps.std() / math.sqrt(gaps.size)
+        assert abs(gaps.mean() - 1.0) <= 3 * se
+
     def test_truncated_variance(self):
         cfg = pf_config(m=1, realizations=20000, window=25, seed=7, route="representation")
         samples = sample_velocities_representation(cfg)
@@ -336,6 +407,16 @@ class TestRepresentationRoute:
         with pytest.warns(TruncationWarning):
             samples = sample_velocities_representation(cfg)
         assert samples.n_samples == 300
+        assert np.isfinite(samples.values).all()
+
+    @pytest.mark.parametrize("n", [30, 31])
+    def test_goe_window_may_span_the_spectrum(self, n):
+        cfg = EnsembleConfig(
+            n_levels=n, n_channels=1, realizations=20, central_window=n,
+            seed=4, model=SpectrumModel.goe(), route="representation",
+        )
+        samples = sample_velocities_representation(cfg)
+        assert samples.n_samples == 20
         assert np.isfinite(samples.values).all()
 
     def test_route_mismatch_rejected(self):

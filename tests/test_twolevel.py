@@ -251,6 +251,24 @@ class TestSweep:
         assert np.isnan(table.dgamma1[2]) and np.isnan(table.u11_re[2])
         assert table.segments == [(0, 2), (3, 5)]
 
+    def test_swapped_row_with_vanishing_mixing_is_regular(self):
+        # nu = 0 at alpha = 0 (gamma1 = 0), so the branch f is 0 there; the
+        # row is swapped, its relabeled f = 1/f is unbounded, yet it is far
+        # from an exceptional point and its velocities and U are finite
+        p = TwoLevelParams(delta=0.0709, gamma1=0.0, gamma2=1.90, theta=0.453,
+                           d=1.79, v=-0.753)
+        table = sweep(p, np.linspace(-2, 2, 2001))
+        i = 1000
+        assert table.alpha[i] == 0.0 and table.swapped[i]
+        assert table.ep_distance[i] > 0.9
+        assert table.exceptional_rows.size == 0
+        assert np.isnan(table.f[i])
+        for col in (table.dgamma1, table.de1, table.u11_re, table.u12_im):
+            assert np.isfinite(col[i])
+        lo, hi = sorted((table.dgamma1[i - 1], table.dgamma1[i + 1]))
+        assert lo < table.dgamma1[i] < hi
+        np.testing.assert_allclose([lo, hi], [-0.00475, 0.00475], atol=5e-5)
+
     def test_grid_validation(self, reference_params):
         with pytest.raises(ValueError):
             sweep(reference_params, [0.0, 0.0])
