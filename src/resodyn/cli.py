@@ -309,7 +309,10 @@ def cmd_critical_points(ctx, delta, d, v, gamma1, gamma2, theta,
               default="direct", show_default=True)
 @click.option("--spacing", type=float, default=1.0, show_default=True)
 @click.option("--seed", type=int, default=None, help="Omit for a fresh random seed (echoed).")
-@click.option("--threads", type=int, default=1, show_default=True)
+@click.option("--threads", type=int, default=1, show_default=True,
+              help="Worker threads for the direct route, which samples with BLAS "
+                   "pinned to one thread; the representation route is always "
+                   "serial. Output is bit-identical for any value.")
 @click.option("--bins", type=int, default=61, show_default=True)
 @click.option("--range-max", type=float, default=None,
               help="Histogram half-range; defaults to 3*sqrt(M) (rigid) or 10 (GOE).")
@@ -349,11 +352,14 @@ def cmd_ensemble(ctx, model, n_levels, n_channels, realizations, window, route, 
             f"--max-memory-mb cap of {p['max_memory_mb']}"
         )
 
-    sampler = (
-        sample_velocities_direct if cfg.route == "direct"
-        else sample_velocities_representation
-    )
-    samples = sampler(cfg, workers=max(1, p["threads"]))
+    workers = max(1, p["threads"])
+    if cfg.route == "direct":
+        samples = sample_velocities_direct(cfg, workers=workers)
+    else:
+        samples = sample_velocities_representation(cfg)
+    runtime = dict(samples.runtime)
+    if runtime["workers"] >= workers:
+        runtime["reason"] = None  # only a shortfall needs a reason
 
     half = p["range_max"]
     if half is None:
@@ -372,6 +378,7 @@ def cmd_ensemble(ctx, model, n_levels, n_channels, realizations, window, route, 
         f"# second_moment_se: {_fmt(moment_se)}",
         f"# skipped_levels: {samples.skipped_levels}",
         f"# truncation_deficit: {_fmt(samples.truncation_deficit)}",
+        f"# runtime: {json.dumps(runtime, sort_keys=True, separators=(',', ':'))}",
     ]
     table = np.column_stack([edges[:-1], edges[1:], centers, counts, density, pdf_vals])
     _emit_table(

@@ -16,16 +16,22 @@ convolution into the velocity distribution, its large-channel-count limit,
 and a chi-square goodness-of-fit report for sample/curve comparison.
 
 Both routes draw every realization from its own counter-based RNG substream
-keyed by (seed, realization index), so results are bit-identical no matter
-how the realizations are scheduled across threads.
+keyed by (seed, realization index).  The direct route may spread its
+realizations over threads; it runs them with numpy's OpenBLAS pinned to one
+thread, because BLAS results depend in the last bits on the BLAS thread
+count, so its results are bit-identical for any number of workers and on
+any host.  The representation route is GIL-bound and always runs serially.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import ctypes
+import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy import integrate, stats
@@ -157,6 +163,10 @@ class VelocitySampleSet:
     estimate of the relative variance lost to the window truncation of the
     representation-route sum, whatever the model: for GOE spectra the
     variance of y diverges (the |y|^-3 tail), so no GOE share exists.
+    `runtime` says how the samples were produced: ``workers`` used,
+    ``reason`` (why the route ran on one worker, else None), ``blas``
+    (vendor and version, or "unknown") and ``blas_threads`` (the BLAS
+    thread count while sampling, None if unknown).
     """
 
     values: np.ndarray
@@ -164,6 +174,7 @@ class VelocitySampleSet:
     counts: np.ndarray
     truncation_deficit: float = 0.0
     skipped_levels: int = 0
+    runtime: dict = field(default_factory=dict)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -440,6 +451,62 @@ def _pf_truncation_deficit(offsets: np.ndarray) -> float:
     return max(0.0, 1.0 - kept / total)
 
 
+@dataclass(frozen=True)
+class _BlasThreads:
+    vendor: str
+    get: Callable[[], int]
+    set: Callable[[int], None]
+
+
+# exported names of OpenBLAS as (prefix, suffix): numpy 2's scipy-openblas
+# build renames the plain OpenBLAS symbols
+_OPENBLAS_NAMES = (("scipy_openblas", "64_"), ("openblas", ""))
+
+
+@functools.cache
+def _blas_thread_control() -> _BlasThreads | None:
+    """Thread-count getter and setter of the OpenBLAS that numpy links, or
+    None when they cannot be found.
+
+    Looked up once, on first use, through the handle of numpy's own
+    extension module: symbol lookup on a handle also searches the libraries
+    it links, so no library path is guessed.
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    try:
+        lib = ctypes.CDLL(umath.__file__)
+    except OSError:
+        return None
+    for prefix, suffix in _OPENBLAS_NAMES:
+        try:
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+            config = getattr(lib, f"{prefix}_get_config{suffix}")
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        config.argtypes, config.restype = [], ctypes.c_char_p
+        # the config string starts with "OpenBLAS <version>"
+        vendor = " ".join(config().decode().split()[:2])
+        return _BlasThreads(vendor, get, set_)
+    return None
+
+
+def _runtime(
+    blas: _BlasThreads | None, workers: int, reason: str | None, blas_threads: int | None
+) -> dict:
+    return {
+        "workers": workers,
+        "reason": reason,
+        "blas": blas.vendor if blas is not None else "unknown",
+        "blas_threads": blas_threads,
+    }
+
+
 def _run_realizations(task, realizations: int, workers: int) -> list:
     if workers <= 1:
         return [task(r) for r in range(realizations)]
@@ -447,9 +514,7 @@ def _run_realizations(task, realizations: int, workers: int) -> list:
         return list(pool.map(task, range(realizations)))
 
 
-def sample_velocities_representation(
-    config: EnsembleConfig, *, workers: int = 1
-) -> VelocitySampleSet:
+def sample_velocities_representation(config: EnsembleConfig) -> VelocitySampleSet:
     """Sample rescaled width velocities from their weak-coupling representation.
 
     Each realization draws a chi-square width factor kappa, a model spectrum,
@@ -466,6 +531,9 @@ def sample_velocities_representation(
     n_levels - 1 off-diagonal entries, then z, then v.  The picket-fence
     estimate of the relative variance lost to the truncation is recorded
     (and warned about when it exceeds 5%).
+
+    The realizations run serially: `sterf` and the small draws hold the
+    GIL, so threads would only add switching.
     """
     if config.route != "representation":
         raise ValueError(f"config.route is {config.route!r}, expected 'representation'")
@@ -498,12 +566,17 @@ def sample_velocities_representation(
             math.sqrt(kappa) / math.pi * model.spacing * float(np.sum(z * v / denom))
         )
 
-    values = np.array(_run_realizations(one, config.realizations, workers))
+    values = np.array([one(r) for r in range(config.realizations)])
+    blas = _blas_thread_control()
     return VelocitySampleSet(
         values=values,
         config=config,
         counts=np.ones(config.realizations, dtype=int),
         truncation_deficit=deficit,
+        runtime=_runtime(
+            blas, 1, "representation route is serial",
+            blas.get() if blas is not None else None,
+        ),
     )
 
 
@@ -526,6 +599,15 @@ def sample_velocities_direct(
     perturbation, and the choice of gamma_bar (internally 1e-3 spacing)
     cancels identically.  Levels with a neighbor closer than 1e-8 spacing
     are skipped and counted.
+
+    The realizations run on `workers` threads with numpy's OpenBLAS pinned
+    to one thread, whatever `workers` is, and the previous BLAS thread count
+    is restored afterwards.  The GIL is released in `eigh`, the matrix
+    products and the normal draws, so one BLAS thread per realization lets
+    the workers overlap; pinning serial runs too keeps the bytes independent
+    of `workers` and of the host's core count.  If the BLAS thread count
+    cannot be controlled, the realizations run serially.  The count is
+    process-wide, so calls from several threads at once are not supported.
     """
     if config.route != "direct":
         raise ValueError(f"config.route is {config.route!r}, expected 'direct'")
@@ -571,12 +653,24 @@ def sample_velocities_direct(
         y = gdot * (rescale_num / (gamma_bar * math.sqrt(tr_sq)))
         return y, window - idx.size
 
-    results = _run_realizations(one, config.realizations, workers)
+    blas = _blas_thread_control()
+    if blas is None:
+        results = _run_realizations(one, config.realizations, 1)
+        runtime = _runtime(None, 1, "BLAS thread control unavailable", None)
+    else:
+        previous = blas.get()
+        blas.set(1)
+        try:
+            results = _run_realizations(one, config.realizations, workers)
+        finally:
+            blas.set(previous)
+        runtime = _runtime(blas, max(1, workers), None, 1)
     values = np.concatenate([y for y, _ in results]) if results else np.empty(0)
     counts = np.array([y.size for y, _ in results], dtype=int)
     skipped = int(sum(s for _, s in results))
     return VelocitySampleSet(
-        values=values, config=config, counts=counts, skipped_levels=skipped
+        values=values, config=config, counts=counts, skipped_levels=skipped,
+        runtime=runtime,
     )
 
 

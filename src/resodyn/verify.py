@@ -394,13 +394,18 @@ def _z_below_p_above(value, tol):
     return z <= z_max and p_value >= p_min
 
 
+# the 21 levels around index (250 - 1) // 2: gaps picked by an energy
+# window are biased short, since the ones straddling its edges are the
+# size-biased long ones
+_CENTRAL_LEVELS = slice(114, 135)
+
+
 def _goe_spacing(source, matrices):
     rng = np.random.default_rng(source)
-    gaps = []
-    for _ in range(matrices):
-        levels = np.linalg.eigvalsh(sample_goe(250, rng))
-        central = np.sort(levels[np.abs(levels) < 10.0])
-        gaps.extend(np.diff(central))
+    gaps = [
+        np.diff(np.linalg.eigvalsh(sample_goe(250, rng))[_CENTRAL_LEVELS])
+        for _ in range(matrices)
+    ]
     mean_gap = float(np.mean(gaps))
     return abs(mean_gap - 1.0), f"mean central spacing {mean_gap:.4f} (target 1 +- 2%)"
 

@@ -178,6 +178,32 @@ class TestEnsembleCommand:
             paths.append(samples)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_goe_direct_threads_bytes(self, runner, tmp_path):
+        # the GOE direct route calls eigh, whose bytes would follow the BLAS
+        # thread count if the sampler did not pin it
+        args = ["ensemble", "--model", "goe", "--route", "direct", "--n", "120",
+                "--m", "2", "--realizations", "40", "--window", "25", "--seed", "5"]
+        samples, runtimes = [], []
+        for threads in ("1", "2"):
+            out = tmp_path / f"hist_{threads}.csv"
+            samples.append(tmp_path / f"samples_{threads}.csv")
+            result = runner.invoke(
+                main, [*args, "--threads", threads, "-o", str(out),
+                       "--samples-out", str(samples[-1])],
+            )
+            assert result.exit_code == 0, result.output
+            comments, _, _ = read_csv(out)
+            line = next(c for c in comments if c.startswith("# runtime: "))
+            runtimes.append(json.loads(line.removeprefix("# runtime: ")))
+        assert samples[0].read_bytes() == samples[1].read_bytes()
+        assert b"# runtime:" not in samples[0].read_bytes()
+        assert runtimes[0]["workers"] == 1 and runtimes[0]["reason"] is None
+        if runtimes[1]["blas_threads"] == 1:
+            assert runtimes[1]["workers"] == 2 and runtimes[1]["reason"] is None
+        else:
+            assert runtimes[1] == {"workers": 1, "reason": "BLAS thread control unavailable",
+                                   "blas": "unknown", "blas_threads": None}
+
     def test_fresh_seed_is_echoed(self, runner, tmp_path):
         out = tmp_path / "hist.csv"
         result = runner.invoke(
@@ -206,9 +232,14 @@ class TestEnsembleCommand:
             main,
             ["ensemble", "--model", "picket-fence", "--n", "250", "--m", "2",
              "--realizations", "500", "--window", "25", "--seed", "3",
-             "--route", "representation", "-o", str(out)],
+             "--route", "representation", "--threads", "2", "-o", str(out)],
         )
         assert result.exit_code == 0
+        comments, _, _ = read_csv(out)
+        line = next(c for c in comments if c.startswith("# runtime: "))
+        runtime = json.loads(line.removeprefix("# runtime: "))
+        assert runtime["workers"] == 1
+        assert runtime["reason"] == "representation route is serial"
 
 
 class TestDistCommand:

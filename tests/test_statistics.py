@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from resodyn import (
     velocity_cdf,
     velocity_pdf,
 )
+from resodyn import statistics
 from resodyn.statistics import (
     SINGULAR_Y,
     _goe_tridiagonal_levels,
@@ -40,6 +42,13 @@ def pf_config(m=1, realizations=200, window=25, seed=7, route="direct", n=250):
     return EnsembleConfig(
         n_levels=n, n_channels=m, realizations=realizations, central_window=window,
         seed=seed, model=SpectrumModel.picket_fence(), route=route,
+    )
+
+
+def goe_direct_config(realizations=40, seed=5):
+    return EnsembleConfig(
+        n_levels=120, n_channels=2, realizations=realizations, central_window=25,
+        seed=seed, model=SpectrumModel.goe(), route="direct",
     )
 
 
@@ -56,17 +65,17 @@ class TestEnsembles:
             hits += np.count_nonzero(np.abs(levels) < w)
         assert abs(hits / 100 / (2 * w) - 1.0) <= 0.05
 
-    def test_goe_center_spacing(self, rng):
-        gaps = []
-        for _ in range(100):
-            levels = np.linalg.eigvalsh(sample_goe(250, rng))
-            gaps.extend(np.diff(np.sort(levels[np.abs(levels) < 10.0])))
-        assert abs(np.mean(gaps) - 1.0) <= 0.02
-
     # the 20 gaps between the 21 levels around index (250 - 1) // 2: gaps
     # picked by a fixed energy window are biased short, since the ones
     # straddling its edges are the size-biased long ones
     CENTRAL = slice(114, 135)
+
+    def test_goe_center_spacing(self, rng):
+        gaps = [
+            np.diff(np.linalg.eigvalsh(sample_goe(250, rng))[self.CENTRAL])
+            for _ in range(100)
+        ]
+        assert abs(np.mean(gaps) - 1.0) <= 0.02
 
     def test_tridiagonal_center_spacing(self):
         # same normalization as the dense matrix: the mean central gap is
@@ -435,6 +444,13 @@ class TestDirectRoute:
         threaded = sample_velocities_direct(pf_config(seed=9), workers=4)
         np.testing.assert_array_equal(serial.values, threaded.values)
 
+    def test_goe_workers_do_not_change_the_stream(self):
+        # eigh and the matrix products run in BLAS, whose last bits depend
+        # on its thread count; one BLAS thread per worker keeps them fixed
+        serial = sample_velocities_direct(goe_direct_config(), workers=1)
+        threaded = sample_velocities_direct(goe_direct_config(), workers=2)
+        np.testing.assert_array_equal(serial.values, threaded.values)
+
     def test_perturbation_scale_invariance(self):
         # y divides by the realization's own Tr V^2, so rescaling the drawn
         # perturbation must cancel exactly; replay the stream and check
@@ -572,3 +588,64 @@ class TestCompareHistogram:
         assert table.shape == (41, 6)
         widths = table[:, 1] - table[:, 0]
         np.testing.assert_allclose(widths, widths[0], rtol=1e-9)
+
+
+@pytest.fixture
+def blas():
+    """numpy's BLAS thread control, set to 2 threads for the test."""
+    control = statistics._blas_thread_control()
+    if control is None:
+        pytest.skip("numpy's BLAS thread count cannot be controlled here")
+    original = control.get()
+    control.set(2)  # not the pinned count, so a missed restore shows
+    yield control
+    control.set(original)
+
+
+class TestBlasPinning:
+    def test_pinned_while_sampling_and_restored(self, blas, monkeypatch):
+        seen = []
+
+        def spy(n, rng, spacing=1.0):
+            seen.append(blas.get())
+            return sample_goe(n, rng, spacing)
+
+        monkeypatch.setattr(statistics, "sample_goe", spy)
+        before = blas.get()
+        samples = sample_velocities_direct(goe_direct_config(realizations=4), workers=2)
+        assert seen == [1] * 4
+        assert blas.get() == before
+        assert samples.runtime == {
+            "workers": 2, "reason": None, "blas": blas.vendor, "blas_threads": 1,
+        }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_restored_when_a_realization_raises(self, blas, monkeypatch, workers):
+        def failing(*args, **kwargs):
+            raise RuntimeError("realization failed")
+
+        monkeypatch.setattr(statistics, "sample_goe", failing)
+        before = blas.get()
+        with pytest.raises(RuntimeError, match="realization failed"):
+            sample_velocities_direct(goe_direct_config(realizations=4), workers=workers)
+        assert blas.get() == before
+
+    def test_serial_without_blas_control(self, monkeypatch):
+        pinned = sample_velocities_direct(goe_direct_config(), workers=2)
+        monkeypatch.setattr(statistics, "_blas_thread_control", lambda: None)
+        callers = set()
+        draw = statistics.sample_couplings
+
+        def spy(*args):
+            callers.add(threading.get_ident())
+            return draw(*args)
+
+        monkeypatch.setattr(statistics, "sample_couplings", spy)
+        fallback = sample_velocities_direct(goe_direct_config(), workers=2)
+        assert callers == {threading.get_ident()}
+        assert fallback.runtime == {
+            "workers": 1, "reason": "BLAS thread control unavailable",
+            "blas": "unknown", "blas_threads": None,
+        }
+        # at the default BLAS thread count only the last bits may differ
+        np.testing.assert_allclose(fallback.values, pinned.values, rtol=1e-8, atol=1e-9)
