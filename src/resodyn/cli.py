@@ -111,6 +111,13 @@ def _complex_json(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
+def _plain(x):
+    """A check's value or tolerance as JSON: tuples as lists, numpy scalars as Python."""
+    if isinstance(x, (tuple, list)):
+        return [_plain(v) for v in x]
+    return x.item() if isinstance(x, np.generic) else x
+
+
 def _masked_pdf(points: np.ndarray, m: int, kind: str):
     """velocity_pdf on a grid, NaN at the singular points; returns (pdf, mask)."""
     singular = singular_points(points, m)
@@ -316,7 +323,9 @@ def cmd_critical_points(ctx, delta, d, v, gamma1, gamma2, theta,
 @click.option("--bins", type=int, default=61, show_default=True)
 @click.option("--range-max", type=float, default=None,
               help="Histogram half-range; defaults to 3*sqrt(M) (rigid) or 10 (GOE).")
-@click.option("--max-memory-mb", type=int, default=2048, show_default=True)
+@click.option("--max-memory-mb", type=int, default=2048, show_default=True,
+              help="Refuse a run whose projected memory exceeds this; the "
+                   "direct route's projection counts every --threads worker.")
 @click.option("--output", "-o", type=click.Path(dir_okay=False), default=None,
               help="Histogram + analytic curve CSV (stdout if omitted).")
 @click.option("--samples-out", type=click.Path(dir_okay=False), default=None,
@@ -344,7 +353,11 @@ def cmd_ensemble(ctx, model, n_levels, n_channels, realizations, window, route, 
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
-    projected = 8 * (4 * cfg.n_levels**2 + cfg.realizations * cfg.central_window
+    # a direct-route realization holds about six n x n matrices at once, and
+    # each worker runs one; the representation route holds no n x n matrix
+    workers = max(1, p["threads"])
+    per_worker = 6 * cfg.n_levels**2 if cfg.route == "direct" else 0
+    projected = 8 * (workers * per_worker + cfg.realizations * cfg.central_window
                      + cfg.n_levels * cfg.n_channels)
     if projected > p["max_memory_mb"] * 2**20:
         raise click.UsageError(
@@ -352,7 +365,6 @@ def cmd_ensemble(ctx, model, n_levels, n_channels, realizations, window, route, 
             f"--max-memory-mb cap of {p['max_memory_mb']}"
         )
 
-    workers = max(1, p["threads"])
     if cfg.route == "direct":
         samples = sample_velocities_direct(cfg, workers=workers)
     else:
@@ -462,7 +474,9 @@ def cmd_verify(level, seed, output):
                 "seed": used_seed,
                 "passed": n_failed == 0,
                 "checks": [
-                    {"name": c.name, "passed": bool(c.passed), "detail": c.detail}
+                    {"name": c.name, "passed": bool(c.passed), "detail": c.detail,
+                     "value": _plain(c.value), "tolerance": _plain(c.tolerance),
+                     "seconds": c.seconds}
                     for c in results
                 ],
             },

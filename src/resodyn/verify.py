@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from functools import cache, partial
 from typing import Callable
 
 import numpy as np
 from scipy import integrate
-from scipy.stats import chi2 as chi2_dist
-from scipy.stats import ks_2samp, kstest
+from scipy.special import chdtr
 
 from .perturbation import (
     InteriorPerturbation,
@@ -72,9 +72,16 @@ RIGID_CHANNELS = (1, 2, 5, 10)
 
 @dataclass(frozen=True)
 class CheckResult:
+    """Outcome of one check: the measured value, the tolerance it was
+    judged against, and the seconds it took (``value`` is None when the
+    check raised)."""
+
     name: str
     passed: bool
     detail: str
+    value: object = None
+    tolerance: object = None
+    seconds: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -99,9 +106,9 @@ class Check:
 
     def run(self, source, size=None, tol=None) -> CheckResult:
         """Measure at ``size`` and judge against ``tol`` (defaults: the table's)."""
+        tol = self.tol if tol is None else tol
         value, detail = self.measure(source, self.size if size is None else size)
-        passed = self.passes(value, self.tol if tol is None else tol)
-        return CheckResult(self.name, bool(passed), detail)
+        return CheckResult(self.name, bool(self.passes(value, tol)), detail, value, tol)
 
 
 def random_two_level_params(
@@ -378,12 +385,14 @@ def _kernel_fourier(source, size):
 
 
 def _coupling_widths(source, entries):
+    from scipy.stats import kstest  # full level only; keeps it off the CLI import
+
     rng = np.random.default_rng(source)
     m = 2
     a = sample_couplings(entries, m, 0.7, rng)
     se = 0.7 * math.sqrt(2.0 / a.size)
     z = abs(a.var() - 0.7) / se
-    p_value = kstest((a**2).sum(axis=1) / 0.7, chi2_dist(df=m).cdf).pvalue
+    p_value = kstest((a**2).sum(axis=1) / 0.7, partial(chdtr, m)).pvalue
     return (z, p_value), (
         f"entry variance z={z:.2f} (<3), chi-square KS p={p_value:.3f} (>=0.01)"
     )
@@ -433,6 +442,8 @@ def _rigid_chi_square(samples_by_m, size):
 
 
 def _route_equivalence(seed, size):
+    from scipy.stats import ks_2samp  # full level only; keeps it off the CLI import
+
     direct_realizations, rep_realizations = size
     cfg_direct = EnsembleConfig(
         n_levels=250, n_channels=2, realizations=direct_realizations,
@@ -501,7 +512,9 @@ def run_checks(level: str = "fast", seed: int = 7) -> list[CheckResult]:
     """Run the table; never aborts on an individual failure.
 
     A check that raises, or whose shared samples could not be drawn, is
-    reported as failed under ``<name>.raised``.
+    reported as failed under ``<name>.raised``.  Each result's ``seconds``
+    is the wall time of its check; the first ``rigid`` check's includes
+    drawing the shared sample sets.
     """
     if level not in ("fast", "full"):
         raise ValueError(f"unknown verification level {level!r}")
@@ -510,12 +523,15 @@ def run_checks(level: str = "fast", seed: int = 7) -> list[CheckResult]:
     for check in CHECKS.values():
         if check.monte_carlo and level != "full":
             continue
+        start = time.perf_counter()
         try:
             if check.rigid:
                 source = shared()
             else:
                 source = seed if check.seed is None else check.seed
-            results.append(check.run(source))
+            result = check.run(source)
         except Exception as exc:  # noqa: BLE001 - report, keep sweeping
-            results.append(CheckResult(f"{check.name}.raised", False, f"raised {exc!r}"))
+            result = CheckResult(f"{check.name}.raised", False, f"raised {exc!r}",
+                                 tolerance=check.tol)
+        results.append(replace(result, seconds=time.perf_counter() - start))
     return results

@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 from scipy.integrate import trapezoid
 
+from resodyn import cli
 from resodyn.cli import main
 
 FIG_ARGS = [
@@ -226,6 +231,27 @@ class TestEnsembleCommand:
         assert result.exit_code == 1
         assert "memory" in result.output.lower()
 
+    def test_memory_guard_counts_threads(self, runner, tmp_path, monkeypatch):
+        # N=600 projects ~16.5 MiB per direct-route worker: one fits under
+        # 24 MiB, two do not; the representation route holds no N x N matrix
+        sampled = []
+        real = cli.sample_velocities_direct
+        monkeypatch.setattr(cli, "sample_velocities_direct",
+                            lambda *a, **k: sampled.append(k) or real(*a, **k))
+        args = ["ensemble", "--model", "picket-fence", "--n", "600", "--m", "1",
+                "--realizations", "2", "--window", "25", "--seed", "1",
+                "-o", str(tmp_path / "hist.csv")]
+        refused = runner.invoke(main, [*args, "--threads", "2", "--max-memory-mb", "24"])
+        assert refused.exit_code == 1
+        assert "projected memory 33 MiB" in refused.output
+        assert sampled == []
+        serial = runner.invoke(main, [*args, "--threads", "1", "--max-memory-mb", "24"])
+        assert serial.exit_code == 0, serial.output
+        assert sampled == [{"workers": 1}]
+        rep = runner.invoke(main, [*args, "--route", "representation", "--threads", "4",
+                                   "--max-memory-mb", "1"])
+        assert rep.exit_code == 0, rep.output
+
     def test_representation_route(self, runner, tmp_path):
         out = tmp_path / "hist.csv"
         result = runner.invoke(
@@ -305,3 +331,21 @@ class TestVerifyCommand:
         assert len(payload["checks"]) >= 10
         assert all(c["passed"] for c in payload["checks"])
         assert "checks passed" in result.output
+        for check in payload["checks"]:
+            assert isinstance(check["value"], (float, list)), check
+            assert isinstance(check["seconds"], float) and check["seconds"] >= 0.0
+        spot = next(c for c in payload["checks"] if c["name"] == "kernel_spot_values")
+        assert spot["value"] == spot["tolerance"] == [2.0 / 3.0, math.pi / 4.0]
+
+
+@pytest.mark.parametrize("module", ["resodyn.cli", "resodyn.verify"])
+def test_import_leaves_scipy_stats_unloaded(module):
+    # scipy.stats costs about a third of the start-up; only verify full needs it
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys, {module}; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.strip() == "False"

@@ -581,6 +581,17 @@ class TestCompareHistogram:
         with pytest.raises(ValueError, match="1000"):
             compare_histogram(self._kernel_samples(rng, 500), phi_pf)
 
+    @pytest.mark.parametrize("model, config", [
+        ("pf", pf_config(m=2, realizations=60)),
+        ("goe", goe_direct_config(realizations=60)),
+    ])
+    def test_p_value_is_scipy_stats_chi2_sf(self, model, config):
+        samples = sample_velocities_direct(config)
+        report = compare_histogram(
+            samples, lambda y: velocity_pdf(y, 2, model), cdf=lambda y: velocity_cdf(y, 2, model)
+        )
+        assert report.p_value == float(chi2_dist.sf(report.statistic, report.dof))
+
     def test_density_table_layout(self, rng):
         samples = self._kernel_samples(rng, 5000)
         report = compare_histogram(samples, phi_pf, cdf=phi_pf_cdf, density_bins=41)

@@ -5,9 +5,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.stats import chi2, kstest
 
-from resodyn import verify
+from resodyn import sample_couplings, verify
 
 FAST = [
     "two_level_sum_rules",
@@ -58,6 +60,16 @@ def test_levels_keep_names_and_order(draws, level, names):
     results = verify.run_checks(level, seed=11)
     assert [r.name for r in results] == names
     assert all(r.passed for r in results)
+    for r in results:
+        assert r.value == r.tolerance == verify.CHECKS[r.name].tol
+        assert r.seconds >= 0.0
+
+
+def test_coupling_width_ks_cdf_is_scipy_stats_chi2():
+    (_, p_value), _ = verify._coupling_widths(5, 20000)
+    a = sample_couplings(20000, 2, 0.7, np.random.default_rng(5))
+    reference = kstest((a**2).sum(axis=1) / 0.7, chi2(df=2).cdf).pvalue
+    assert p_value == reference
 
 
 def test_rigid_samples_drawn_once_per_call(draws):
@@ -88,6 +100,7 @@ def test_raising_check_is_reported_under_its_name(draws, monkeypatch):
     assert [(r.name, r.detail) for r in failed] == [
         ("mixing_definition.raised", "raised RuntimeError('boom')")
     ]
+    assert failed[0].value is None and failed[0].tolerance == 1e-12
 
 
 def test_failed_rigid_draw_fails_every_check_on_it(draws, monkeypatch):
