@@ -353,8 +353,9 @@ def cmd_ensemble(ctx, model, n_levels, n_channels, realizations, window, route, 
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
-    # a direct-route realization holds about six n x n matrices at once, and
-    # each worker runs one; the representation route holds no n x n matrix
+    # a GOE direct-route realization holds about six n x n matrices at once
+    # (a picket-fence one about two), and each worker runs one; the
+    # representation route holds no n x n matrix
     workers = max(1, p["threads"])
     per_worker = 6 * cfg.n_levels**2 if cfg.route == "direct" else 0
     projected = 8 * (workers * per_worker + cfg.realizations * cfg.central_window
@@ -454,7 +455,11 @@ def cmd_dist(ctx, model, n_channels, y, y_min, y_max, steps, output, config):
 @click.option("--output", "-o", type=click.Path(dir_okay=False), default=None,
               help="Machine-readable JSON report.")
 def cmd_verify(level, seed, output):
-    """Run the numerical invariant suite (fast: deterministic; full: + Monte Carlo)."""
+    """Run the numerical invariant suite (fast: deterministic; full: + Monte Carlo).
+
+    The full level draws its picket-fence sample sets on all usable cores;
+    its output does not depend on the core count.
+    """
     used_seed = seed if seed is not None else 7
     results = run_checks(level=level, seed=used_seed)
     use_color = sys.stdout.isatty() and not os.environ.get("NO_COLOR")
@@ -473,6 +478,7 @@ def cmd_verify(level, seed, output):
                 "level": level,
                 "seed": used_seed,
                 "passed": n_failed == 0,
+                "runtime": next((c.runtime for c in results if c.runtime), None),
                 "checks": [
                     {"name": c.name, "passed": bool(c.passed), "detail": c.detail,
                      "value": _plain(c.value), "tolerance": _plain(c.tolerance),

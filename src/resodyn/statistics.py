@@ -262,7 +262,9 @@ def sample_couplings(
     """
     if gamma_bar <= 0:
         raise ValueError("gamma_bar must be positive")
-    return math.sqrt(gamma_bar) * rng.standard_normal((n, m))
+    a = rng.standard_normal((n, m))
+    a *= math.sqrt(gamma_bar)
+    return a
 
 
 def porter_thomas_pdf(kappa, m: int):
@@ -639,9 +641,12 @@ def sample_velocities_direct(
             np.divide(1.0, diff, out=inv, where=np.isfinite(diff))
             idx, inv = idx[keep_rows], inv[keep_rows]
         amplitudes = sample_couplings(n, config.n_channels, gamma_bar, rng)
+        # pert = (x + x.T) / sqrt(2) and Tr pert^2 = sum(pert * pert), with
+        # the same operations in place: x holds the squares
         x = rng.standard_normal((n, n))
-        pert = (x + x.T) / math.sqrt(2.0)
-        tr_sq = float(np.sum(pert * pert))
+        pert = np.add(x, x.T)
+        pert /= math.sqrt(2.0)
+        tr_sq = float(np.sum(np.multiply(pert, pert, out=x)))
         if basis is None:
             b_rows = amplitudes[idx] @ amplitudes.T
             w_rows = pert[idx]

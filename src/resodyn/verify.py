@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 import time
 from dataclasses import dataclass, replace
 from functools import cache, partial
@@ -35,6 +36,7 @@ from .spectral import bell_steinberger, build_effective_hamiltonian, diagonalize
 from .statistics import (
     EnsembleConfig,
     SpectrumModel,
+    _blas_thread_control,
     compare_histogram,
     phi_goe,
     phi_pf,
@@ -74,7 +76,9 @@ RIGID_CHANNELS = (1, 2, 5, 10)
 class CheckResult:
     """Outcome of one check: the measured value, the tolerance it was
     judged against, and the seconds it took (``value`` is None when the
-    check raised)."""
+    check raised).  ``runtime`` is set on checks of the shared rigid sample
+    sets: the sets' own ``runtime`` (workers, reason, BLAS vendor and BLAS
+    threads)."""
 
     name: str
     passed: bool
@@ -82,6 +86,7 @@ class CheckResult:
     value: object = None
     tolerance: object = None
     seconds: float = 0.0
+    runtime: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -143,15 +148,35 @@ def random_open_system(rng: np.random.Generator, n: int, m: int = 3,
             return heff
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def rigid_samples(seed: int) -> dict:
-    """Direct-route picket-fence sample sets at paper scale, one per M."""
+    """Direct-route picket-fence sample sets at paper scale, one per M.
+
+    Each set is drawn on all usable cores, one set after another; the
+    samples do not depend on the core count (see
+    :func:`sample_velocities_direct`).
+    """
+    workers = _usable_cores()
     return {
         m: sample_velocities_direct(EnsembleConfig(
             n_levels=250, n_channels=m, realizations=2000, central_window=25,
             seed=seed, model=SpectrumModel.picket_fence(), route="direct",
-        ))
+        ), workers=workers)
         for m in RIGID_CHANNELS
     }
+
+
+def _draw_runtime(samples_by_m: dict) -> dict | None:
+    """The ``runtime`` of the rigid sample sets (all of them alike)."""
+    first = next(iter(samples_by_m.values()), None)
+    return None if first is None else dict(first.runtime)
 
 
 def _params(source, count: int, min_ep_distance: float = 1e-3):
@@ -392,7 +417,12 @@ def _coupling_widths(source, entries):
     a = sample_couplings(entries, m, 0.7, rng)
     se = 0.7 * math.sqrt(2.0 / a.size)
     z = abs(a.var() - 0.7) / se
-    p_value = kstest((a**2).sum(axis=1) / 0.7, partial(chdtr, m)).pvalue
+    # (a**2).sum(axis=1) / 0.7, in place
+    a **= 2
+    widths = a.sum(axis=1)
+    widths /= 0.7
+    del a
+    p_value = kstest(widths, partial(chdtr, m)).pvalue
     return (z, p_value), (
         f"entry variance z={z:.2f} (<3), chi-square KS p={p_value:.3f} (>=0.01)"
     )
@@ -455,7 +485,7 @@ def _route_equivalence(seed, size):
         central_window=25, seed=seed + 1, model=SpectrumModel.picket_fence(),
         route="representation",
     )
-    direct = sample_velocities_direct(cfg_direct)
+    direct = sample_velocities_direct(cfg_direct, workers=_usable_cores())
     rep = sample_velocities_representation(cfg_rep)
     result = ks_2samp(direct.values, rep.values)
     return result.pvalue, (
@@ -463,14 +493,28 @@ def _route_equivalence(seed, size):
     )
 
 
-def _thread_determinism(seed, realizations):
+def _thread_determinism(seed, size):
+    # the picket-fence route calls no eigh; the GOE one shows whether the
+    # bytes depend on the ambient BLAS thread count
+    pf_realizations, goe_realizations = size
     cfg = EnsembleConfig(
-        n_levels=250, n_channels=1, realizations=realizations, central_window=25,
+        n_levels=250, n_channels=1, realizations=pf_realizations, central_window=25,
         seed=seed, model=SpectrumModel.picket_fence(), route="direct",
     )
-    serial = sample_velocities_direct(cfg, workers=1)
-    threaded = sample_velocities_direct(cfg, workers=3)
-    identical = np.array_equal(serial.values, threaded.values)
+    identical = np.array_equal(sample_velocities_direct(cfg, workers=1).values,
+                               sample_velocities_direct(cfg, workers=3).values)
+    blas = _blas_thread_control()
+    if blas is not None:
+        cfg = replace(cfg, realizations=goe_realizations, model=SpectrumModel.goe())
+        previous = blas.get()
+        try:
+            blas.set(1)
+            serial = sample_velocities_direct(cfg, workers=1)
+            blas.set(2)
+            threaded = sample_velocities_direct(cfg, workers=3)
+        finally:
+            blas.set(previous)
+        identical = identical and np.array_equal(serial.values, threaded.values)
     return identical, (
         "serial and 3-thread runs bit-identical" if identical else "runs differ"
     )
@@ -503,8 +547,8 @@ CHECKS: dict[str, Check] = {check.name: check for check in (
           rigid=True, passes=operator.ge),
     Check("route_equivalence", _route_equivalence, 0.01, (300, 7000),
           monte_carlo=True, passes=operator.ge),
-    Check("thread_determinism", _thread_determinism, True, 100, monte_carlo=True,
-          passes=operator.eq),
+    Check("thread_determinism", _thread_determinism, True, (100, 10),
+          monte_carlo=True, passes=operator.eq),
 )}
 
 
@@ -514,7 +558,8 @@ def run_checks(level: str = "fast", seed: int = 7) -> list[CheckResult]:
     A check that raises, or whose shared samples could not be drawn, is
     reported as failed under ``<name>.raised``.  Each result's ``seconds``
     is the wall time of its check; the first ``rigid`` check's includes
-    drawing the shared sample sets.
+    drawing the shared sample sets.  The ``rigid`` checks' results carry
+    the sets' ``runtime``.
     """
     if level not in ("fast", "full"):
         raise ValueError(f"unknown verification level {level!r}")
@@ -527,9 +572,10 @@ def run_checks(level: str = "fast", seed: int = 7) -> list[CheckResult]:
         try:
             if check.rigid:
                 source = shared()
+                result = replace(check.run(source), runtime=_draw_runtime(source))
             else:
                 source = seed if check.seed is None else check.seed
-            result = check.run(source)
+                result = check.run(source)
         except Exception as exc:  # noqa: BLE001 - report, keep sweeping
             result = CheckResult(f"{check.name}.raised", False, f"raised {exc!r}",
                                  tolerance=check.tol)

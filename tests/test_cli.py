@@ -12,6 +12,7 @@ from scipy.integrate import trapezoid
 
 from resodyn import cli
 from resodyn.cli import main
+from resodyn.verify import CheckResult
 
 FIG_ARGS = [
     "--delta", "1", "--d", "1", "--v", "0.75",
@@ -328,6 +329,7 @@ class TestVerifyCommand:
         payload = json.loads(out.read_text())
         assert payload["passed"] is True
         assert payload["level"] == "fast"
+        assert payload["runtime"] is None  # no direct-route draws at this level
         assert len(payload["checks"]) >= 10
         assert all(c["passed"] for c in payload["checks"])
         assert "checks passed" in result.output
@@ -336,6 +338,20 @@ class TestVerifyCommand:
             assert isinstance(check["seconds"], float) and check["seconds"] >= 0.0
         spot = next(c for c in payload["checks"] if c["name"] == "kernel_spot_values")
         assert spot["value"] == spot["tolerance"] == [2.0 / 3.0, math.pi / 4.0]
+
+    def test_report_carries_the_draw_runtime(self, runner, tmp_path, monkeypatch):
+        drawn = {"workers": 2, "reason": None, "blas": "OpenBLAS 0", "blas_threads": 1}
+        results = [
+            CheckResult("kernel_spot_values", True, "spot"),
+            CheckResult("rigid_variance_monte_carlo", True, "z", runtime=drawn),
+        ]
+        monkeypatch.setattr(cli, "run_checks", lambda level, seed: results)
+        out = tmp_path / "report.json"
+        with_report = runner.invoke(main, ["verify", "full", "-o", str(out)])
+        plain = runner.invoke(main, ["verify", "full"])
+        assert with_report.exit_code == plain.exit_code == 0
+        assert with_report.output == plain.output
+        assert json.loads(out.read_text())["runtime"] == drawn
 
 
 @pytest.mark.parametrize("module", ["resodyn.cli", "resodyn.verify"])

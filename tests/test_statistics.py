@@ -110,6 +110,11 @@ class TestEnsembles:
         assert np.count_nonzero(even == 0.0) == 0
         np.testing.assert_allclose(np.diff(even), 1.0, rtol=0, atol=0)
 
+    def test_couplings_are_scaled_normals(self):
+        got = sample_couplings(300, 3, 0.37, np.random.default_rng(4))
+        expected = math.sqrt(0.37) * np.random.default_rng(4).standard_normal((300, 3))
+        assert np.all(got == expected)
+
     def test_coupling_variance_and_widths(self, rng):
         gamma_bar = 0.7
         a = sample_couplings(250000, 4, gamma_bar, rng)
@@ -438,6 +443,26 @@ class TestDirectRoute:
         a = sample_velocities_direct(pf_config(seed=42))
         b = sample_velocities_direct(pf_config(seed=42))
         np.testing.assert_array_equal(a.values, b.values)
+
+    def test_reproduces_documented_pf_stream_layout(self):
+        # picket-fence realization = (A, x) from the keyed substream, with
+        # W = (x + x.T) / sqrt(2) and the velocity rescaled by sqrt(Tr W^2)
+        n, m, window, seed = 250, 2, 25, 31
+        got = sample_velocities_direct(pf_config(m=m, realizations=1, seed=seed)).values
+        gamma_bar = statistics.WEAK_COUPLING_GAMMA
+        levels = picket_fence_spectrum(n)
+        idx = np.sort(np.argsort(np.abs(levels), kind="stable")[:window])
+        with np.errstate(divide="ignore"):
+            inv = 1.0 / (levels[idx, None] - levels[None, :])
+        inv[np.arange(window), idx] = 0.0
+        gen = substream(seed, 0)
+        a = math.sqrt(gamma_bar) * gen.standard_normal((n, m))
+        x = gen.standard_normal((n, n))
+        pert = (x + x.T) / math.sqrt(2.0)
+        tr_sq = float(np.sum(pert * pert))
+        gdot = 2.0 * np.sum((a[idx] @ a.T) * pert[idx] * inv, axis=1)
+        expected = gdot * (n * 1.0 / (2.0 * math.pi) / (gamma_bar * math.sqrt(tr_sq)))
+        assert got.shape == expected.shape and np.all(got == expected)
 
     def test_workers_do_not_change_the_stream(self):
         serial = sample_velocities_direct(pf_config(seed=9), workers=1)

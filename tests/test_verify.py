@@ -1,15 +1,19 @@
 """Contract of the check table behind ``resodyn verify``."""
 
 import importlib.util
+import os
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.special import chdtr
 from scipy.stats import chi2, kstest
 
-from resodyn import sample_couplings, verify
+from resodyn import sample_couplings, sample_velocities_direct, statistics, verify
 
 FAST = [
     "two_level_sum_rules",
@@ -70,6 +74,103 @@ def test_coupling_width_ks_cdf_is_scipy_stats_chi2():
     a = sample_couplings(20000, 2, 0.7, np.random.default_rng(5))
     reference = kstest((a**2).sum(axis=1) / 0.7, chi2(df=2).cdf).pvalue
     assert p_value == reference
+
+
+def test_coupling_widths_match_the_out_of_place_form():
+    (z, p_value), _ = verify._coupling_widths(8, 3000)
+    a = sample_couplings(3000, 2, 0.7, np.random.default_rng(8))
+    reference_z = abs(a.var() - 0.7) / (0.7 * np.sqrt(2.0 / a.size))
+    reference_p = kstest((a**2).sum(axis=1) / 0.7, partial(chdtr, 2)).pvalue
+    assert (z, p_value) == (reference_z, reference_p)
+
+
+def test_usable_cores(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert verify._usable_cores() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert verify._usable_cores() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert verify._usable_cores() == 1
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_direct_draws_use_every_core(monkeypatch, cores):
+    calls = []
+
+    def recorder(config, **kwargs):
+        calls.append((config.n_channels, config.realizations, kwargs))
+        return SimpleNamespace(values=np.linspace(-1.0, 1.0, 50))
+
+    monkeypatch.setattr(verify, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(verify, "sample_velocities_direct", recorder)
+    monkeypatch.setattr(verify, "sample_velocities_representation",
+                        lambda config: SimpleNamespace(values=np.linspace(-1.0, 1.0, 40)))
+    verify.rigid_samples(11)
+    verify._route_equivalence(11, (300, 7000))
+    workers = {"workers": cores}
+    assert calls == [(1, 2000, workers), (2, 2000, workers), (5, 2000, workers),
+                     (10, 2000, workers), (2, 300, workers)]
+
+
+def test_rigid_checks_carry_the_draw_runtime(draws, monkeypatch):
+    runtime = {"workers": 2, "reason": None, "blas": "OpenBLAS 0", "blas_threads": 1}
+    sets = {m: SimpleNamespace(runtime=runtime) for m in verify.RIGID_CHANNELS}
+    monkeypatch.setattr(verify, "rigid_samples", lambda seed: sets)
+    results = verify.run_checks("full", seed=11)
+    assert {r.name: r.runtime for r in results if r.runtime} == dict.fromkeys(RIGID, runtime)
+    assert all(r.runtime is None for r in verify.run_checks("fast"))
+
+
+@pytest.fixture
+def blas_control():
+    control = statistics._blas_thread_control()
+    if control is None:
+        pytest.skip("numpy's BLAS thread count cannot be controlled here")
+    original = control.get()
+    control.set(3)  # neither ambient count of the check, so a missed restore shows
+    yield control
+    control.set(original)
+
+
+def test_thread_determinism_varies_the_ambient_blas_count(blas_control, monkeypatch):
+    seen = []
+
+    def spy(config, *, workers):
+        seen.append((config.model.kind, workers, blas_control.get()))
+        return sample_velocities_direct(config, workers=workers)
+
+    monkeypatch.setattr(verify, "sample_velocities_direct", spy)
+    identical, detail = verify._thread_determinism(7, (4, 3))
+    assert (identical, detail) == (True, "serial and 3-thread runs bit-identical")
+    assert seen == [("picket-fence", 1, 3), ("picket-fence", 3, 3), ("goe", 1, 1), ("goe", 3, 2)]
+    assert blas_control.get() == 3
+
+
+def test_thread_determinism_restores_the_blas_count(blas_control, monkeypatch):
+    def failing(config, *, workers):
+        if config.model.kind == "goe":
+            raise RuntimeError("draw failed")
+        return SimpleNamespace(values=np.zeros(3))
+
+    monkeypatch.setattr(verify, "sample_velocities_direct", failing)
+    with pytest.raises(RuntimeError, match="draw failed"):
+        verify._thread_determinism(7, (4, 3))
+    assert blas_control.get() == 3
+
+
+def test_thread_determinism_without_blas_control(monkeypatch):
+    kinds = []
+
+    def spy(config, *, workers):
+        kinds.append(config.model.kind)
+        return sample_velocities_direct(config, workers=workers)
+
+    monkeypatch.setattr(verify, "_blas_thread_control", lambda: None)
+    monkeypatch.setattr(verify, "sample_velocities_direct", spy)
+    assert verify._thread_determinism(7, (4, 3)) == (
+        True, "serial and 3-thread runs bit-identical")
+    assert kinds == ["picket-fence", "picket-fence"]
 
 
 def test_rigid_samples_drawn_once_per_call(draws):
