@@ -353,11 +353,12 @@ def cmd_ensemble(ctx, model, n_levels, n_channels, realizations, window, route, 
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
-    # a GOE direct-route realization holds about six n x n matrices at once
-    # (a picket-fence one about two), and each worker runs one; the
-    # representation route holds no n x n matrix
+    # a GOE direct-route realization holds up to about seven n x n matrices
+    # at once (measured 5.3-6.8 per worker at n=1200; a picket-fence one about
+    # two), and each worker runs one; the representation route holds no
+    # n x n matrix
     workers = max(1, p["threads"])
-    per_worker = 6 * cfg.n_levels**2 if cfg.route == "direct" else 0
+    per_worker = 7 * cfg.n_levels**2 if cfg.route == "direct" else 0
     projected = 8 * (workers * per_worker + cfg.realizations * cfg.central_window
                      + cfg.n_levels * cfg.n_channels)
     if projected > p["max_memory_mb"] * 2**20:

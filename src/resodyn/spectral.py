@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ExceptionalPointError, MatchingAmbiguityWarning
 
@@ -333,6 +332,8 @@ def match_resonances(previous, current) -> np.ndarray:
         perm[~conflicted] = greedy[~conflicted]
         free_cols = np.flatnonzero(~np.isin(np.arange(n), greedy[~conflicted]))
         rows = np.flatnonzero(conflicted)
+        from scipy.optimize import linear_sum_assignment  # keeps it off the CLI import
+
         sub_rows, sub_cols = linear_sum_assignment(dist[np.ix_(rows, free_cols)])
         perm[rows[sub_rows]] = free_cols[sub_cols]
 

@@ -34,9 +34,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
-from scipy.linalg import eigvalsh_tridiagonal
-from scipy.optimize import brentq
 from scipy.special import chdtrc, gammaln
 
 from .errors import TruncationWarning
@@ -227,12 +224,16 @@ def sample_goe(n: int, rng: np.random.Generator, spacing: float = 1.0) -> np.nda
     return (x + x.T) * (sigma / math.sqrt(2.0))
 
 
-def _goe_tridiagonal_levels(n: int, rng: np.random.Generator, spacing: float) -> np.ndarray:
+def _goe_tridiagonal_levels(
+    n: int, rng: np.random.Generator, spacing: float, eigvalsh_tridiagonal
+) -> np.ndarray:
     """Ascending GOE eigenvalues with the entry variances of :func:`sample_goe`,
     drawn from the tridiagonal beta = 1 model (Dumitriu & Edelman, J. Math.
     Phys. 43, 5830, 2002): diagonal N(0, 2 sigma^2), off-diagonal sigma times
     chi variables with n-1, ..., 1 degrees of freedom.  Same eigenvalue law
-    as the dense matrix, at O(n) draws and an O(n^2) solve.
+    as the dense matrix, at O(n) draws and an O(n^2) solve.  The solver is
+    ``scipy.linalg.eigvalsh_tridiagonal``, passed in by the caller, which
+    imports it once per run rather than once per realization.
     """
     sigma = math.sqrt(n) * spacing / math.pi
     diag = (sigma * math.sqrt(2.0)) * rng.standard_normal(n)
@@ -537,6 +538,8 @@ def sample_velocities_representation(config: EnsembleConfig) -> VelocitySampleSe
     The realizations run serially: `sterf` and the small draws hold the
     GIL, so threads would only add switching.
     """
+    from scipy.linalg import eigvalsh_tridiagonal  # keeps it off the CLI import
+
     if config.route != "representation":
         raise ValueError(f"config.route is {config.route!r}, expected 'representation'")
     model = config.model
@@ -560,7 +563,9 @@ def sample_velocities_representation(config: EnsembleConfig) -> VelocitySampleSe
         if model.is_rigid:
             denom = pf_denominators
         else:
-            levels = _goe_tridiagonal_levels(config.n_levels, rng, model.spacing)
+            levels = _goe_tridiagonal_levels(
+                config.n_levels, rng, model.spacing, eigvalsh_tridiagonal
+            )
             denom = levels[ref] - levels[neighbours]
         z = rng.standard_normal(window - 1)
         v = rng.standard_normal(window - 1)
@@ -720,24 +725,12 @@ class FitReport:
         )
 
 
-def _evaluate_pdf(pdf, points: np.ndarray) -> np.ndarray:
-    """Evaluate a density on a grid, marking singular points as NaN."""
-    try:
-        return np.asarray(pdf(points), dtype=float)
-    except ValueError:
-        out = np.empty(points.shape)
-        for i, p in enumerate(points):
-            try:
-                out[i] = pdf(p)
-            except ValueError:
-                out[i] = np.nan
-        return out
-
-
 def _numeric_cdf(pdf, lo: float, hi: float):
+    # the trapezoid rule's running sum, as scipy.integrate.cumulative_trapezoid
+    # with initial=0 computes it
     grid = np.linspace(lo, hi, 20001)
     vals = np.asarray(pdf(grid), dtype=float)
-    cum = integrate.cumulative_trapezoid(vals, grid, initial=0.0)
+    cum = np.concatenate(([0.0], np.cumsum(np.diff(grid) * (vals[1:] + vals[:-1]) / 2.0)))
     total = cum[-1]
     if total <= 0:
         raise ValueError("density integrates to zero over the sample range")
@@ -749,17 +742,41 @@ def _numeric_cdf(pdf, lo: float, hi: float):
     return cdf
 
 
-def _quantile(cdf, q: float, lo: float, hi: float) -> float:
-    # expand the bracket until it encloses the quantile
+# the quantile edges are bracketed to within _XTOL + _RTOL |x|, the stopping
+# rule of scipy.optimize.brentq at xtol=1e-12 and its default rtol
+_XTOL = 1e-12
+_RTOL = 4.0 * np.finfo(float).eps
+
+
+def _quantiles(cdf, qs: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Points where the increasing `cdf` crosses each level in `qs`.
+
+    One bisection runs for all levels at once, so each step is a single
+    vectorized `cdf` call.  It stops when every bracket is narrower than
+    ``_XTOL + _RTOL |midpoint|`` and returns the midpoints, which are then
+    within half that of the crossing.
+    """
+    # expand the bracket until it encloses every level
     for _ in range(200):
-        if cdf(lo) < q:
+        if cdf(lo) < qs.min():
             break
         lo = lo - (hi - lo)
+    else:
+        raise ValueError(f"no point below the cdf level {qs.min()}")
     for _ in range(200):
-        if cdf(hi) > q:
+        if cdf(hi) > qs.max():
             break
         hi = hi + (hi - lo)
-    return float(brentq(lambda y: cdf(y) - q, lo, hi, xtol=1e-12))
+    else:
+        raise ValueError(f"no point above the cdf level {qs.max()}")
+    a, b = np.full(qs.shape, lo), np.full(qs.shape, hi)
+    while True:
+        mid = 0.5 * (a + b)
+        if (b - a < _XTOL + _RTOL * np.abs(mid)).all():
+            return mid
+        below = cdf(mid) < qs
+        a = np.where(below, mid, a)
+        b = np.where(below, b, mid)
 
 
 def compare_histogram(
@@ -771,6 +788,7 @@ def compare_histogram(
     min_expected: int = 10,
     density_bins: int = 61,
     density_range: tuple[float, float] | None = None,
+    singular=None,
 ) -> FitReport:
     """Goodness-of-fit report of velocity samples against an analytic density.
 
@@ -784,13 +802,17 @@ def compare_histogram(
     centers over `density_range` (central 99% of the samples by default);
     the same binning is exposed for plotting.
 
-    `pdf` must be vectorized over y; `cdf`, if omitted, is built numerically
-    from `pdf`.
+    `pdf` and `cdf` must be vectorized over y; `cdf`, if omitted, is built
+    numerically from `pdf`.  `singular(y)`, if given, masks the points where
+    `pdf` is singular (:func:`singular_points` for :func:`velocity_pdf`):
+    their bin centers get a NaN density and stay out of the sup-norm.
     """
     values = samples.values if isinstance(samples, VelocitySampleSet) else np.asarray(samples, dtype=float)
     n = values.size
     if n < 1000:
         raise ValueError(f"need at least 1000 samples for a stable fit, got {n}")
+    if not np.isfinite(values).all():
+        raise ValueError("samples must be finite")
 
     note = ""
     coarsened = False
@@ -803,7 +825,7 @@ def compare_histogram(
     span = float(np.abs(values).max())
     lo, hi = -1.1 * span - 1.0, 1.1 * span + 1.0
     cdf_fn = cdf if cdf is not None else _numeric_cdf(pdf, lo, hi)
-    edges = np.array([_quantile(cdf_fn, i / k, lo, hi) for i in range(1, k)])
+    edges = _quantiles(cdf_fn, np.arange(1, k) / k, lo, hi)
     observed = np.bincount(np.searchsorted(edges, values), minlength=k).astype(float)
     expected = n / k
     statistic = float(np.sum((observed - expected) ** 2) / expected)
@@ -816,7 +838,9 @@ def compare_histogram(
     density_counts, density_edges = np.histogram(values, bins=density_bins, range=density_range)
     density_values = density_counts / (n * np.diff(density_edges))
     centers = 0.5 * (density_edges[:-1] + density_edges[1:])
-    density_pdf = _evaluate_pdf(pdf, centers)
+    masked = np.zeros(centers.shape, bool) if singular is None else singular(centers)
+    density_pdf = np.full(centers.shape, np.nan)
+    density_pdf[~masked] = pdf(centers[~masked])
     finite = np.isfinite(density_pdf)
     sup_norm = float(np.abs(density_values[finite] - density_pdf[finite]).max())
 

@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import ExceptionalPointError, ExceptionalPointWarning
 from .spectral import EffectiveHamiltonian, NonorthogonalityMatrix
@@ -468,6 +467,8 @@ def find_alpha_star(
     scan maximum sits on the bracket edge or the velocity vanishes
     identically (no nonorthogonality anywhere).
     """
+    from scipy.optimize import minimize_scalar  # keeps it off the CLI import
+
     grid, dg1, _ = _scan_width_velocity(p, bracket, scan_points)
     mag = np.abs(dg1)
     if np.nanmax(mag) < 1e-12 * max(1.0, abs(p.v) + abs(p.d)):
@@ -503,6 +504,8 @@ def find_alpha_circ(
     The first sign change of Re f on the dense scan is refined by Brent's
     method to `xtol`.  Raises if Re f does not change sign in the bracket.
     """
+    from scipy.optimize import brentq  # keeps it off the CLI import
+
     grid, _, re_f = _scan_width_velocity(p, bracket, scan_points)
     sign = np.sign(re_f)
     ok = np.isfinite(re_f)

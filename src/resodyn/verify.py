@@ -22,7 +22,6 @@ from functools import cache, partial
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 from scipy.special import chdtr
 
 from .perturbation import (
@@ -44,6 +43,7 @@ from .statistics import (
     sample_goe,
     sample_velocities_direct,
     sample_velocities_representation,
+    singular_points,
     velocity_cdf,
     velocity_pdf,
 )
@@ -348,6 +348,8 @@ def _kernel_values(source, size):
 
 
 def _kernel_normalization(source, size):
+    from scipy import integrate  # keeps it off the CLI import
+
     worst = 0.0
     for kernel in (phi_goe, phi_pf):
         val, _ = integrate.quad(kernel, -np.inf, np.inf, epsabs=1e-13, epsrel=1e-12)
@@ -356,6 +358,8 @@ def _kernel_normalization(source, size):
 
 
 def _half_line_quad(fn) -> float:
+    from scipy import integrate  # keeps it off the CLI import
+
     val, _ = integrate.quad(fn, 0.0, np.inf, epsabs=1e-10, epsrel=1e-9, limit=300)
     return 2.0 * val  # even integrand
 
@@ -389,6 +393,8 @@ def _goe_tail(source, size):
 
 
 def _kernel_fourier(source, size):
+    from scipy import integrate  # keeps it off the CLI import
+
     def rigidity_product(w: float) -> float:
         return w / math.sinh(w) if w != 0.0 else 1.0
 
@@ -465,6 +471,7 @@ def _rigid_chi_square(samples_by_m, size):
             samples,
             partial(velocity_pdf, m=m, model="pf"),
             cdf=partial(velocity_cdf, m=m, model="pf"),
+            singular=partial(singular_points, m=m),
         )
         p_values.append(report.p_value)
         detail.append(f"M={m}: p={report.p_value:.3f}")

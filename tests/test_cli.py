@@ -233,7 +233,7 @@ class TestEnsembleCommand:
         assert "memory" in result.output.lower()
 
     def test_memory_guard_counts_threads(self, runner, tmp_path, monkeypatch):
-        # N=600 projects ~16.5 MiB per direct-route worker: one fits under
+        # N=600 projects ~19.2 MiB per direct-route worker: one fits under
         # 24 MiB, two do not; the representation route holds no N x N matrix
         sampled = []
         real = cli.sample_velocities_direct
@@ -244,7 +244,12 @@ class TestEnsembleCommand:
                 "-o", str(tmp_path / "hist.csv")]
         refused = runner.invoke(main, [*args, "--threads", "2", "--max-memory-mb", "24"])
         assert refused.exit_code == 1
-        assert "projected memory 33 MiB" in refused.output
+        assert "projected memory 38 MiB" in refused.output
+        assert sampled == []
+        # one worker projects seven matrices, 19.2 MiB; six would fit under 18
+        tight = runner.invoke(main, [*args, "--threads", "1", "--max-memory-mb", "18"])
+        assert tight.exit_code == 1
+        assert "projected memory 19 MiB" in tight.output
         assert sampled == []
         serial = runner.invoke(main, [*args, "--threads", "1", "--max-memory-mb", "24"])
         assert serial.exit_code == 0, serial.output
@@ -354,14 +359,38 @@ class TestVerifyCommand:
         assert json.loads(out.read_text())["runtime"] == drawn
 
 
-@pytest.mark.parametrize("module", ["resodyn.cli", "resodyn.verify"])
-def test_import_leaves_scipy_stats_unloaded(module):
-    # scipy.stats costs about a third of the start-up; only verify full needs it
+# scipy modules that only some commands use, loaded on first use
+_DEFERRED_SCIPY = ("scipy.optimize", "scipy.integrate", "scipy.linalg", "scipy.stats")
+
+
+def _loaded_after(code: str) -> list[str]:
+    """The deferred scipy modules loaded after running `code` in a fresh interpreter."""
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run(
-        [sys.executable, "-c", f"import sys, {module}; print('scipy.stats' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
-    )
-    assert done.stdout.strip() == "False"
+    probe = (f"{code}\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules "
+             f"if '.'.join(m.split('.')[:2]) in {_DEFERRED_SCIPY!r})))")
+    done = subprocess.run([sys.executable, "-c", probe],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("module", ["resodyn.cli", "resodyn.verify"])
+def test_import_leaves_scipy_stats_unloaded(module):
+    # start-up loads numpy, click and scipy.special only; scipy.stats alone
+    # is about a third of the rest
+    assert _loaded_after(f"import {module}") == []
+
+
+@pytest.mark.parametrize("args", [
+    ["dist", "--model", "pf", "--m", "1", "--steps", "41"],
+    ["two-level", "sweep", *FIG_ARGS, "--alpha-min", "-2", "--alpha-max", "2",
+     "--steps", "801"],
+], ids=["dist", "two-level-sweep"])
+def test_command_leaves_deferred_scipy_unloaded(args, tmp_path):
+    # standalone_mode=False: a failing command raises, and the probe exits non-zero
+    out = tmp_path / "out.csv"
+    code = (f"from resodyn.cli import main\n"
+            f"main.main(args={[*args, '-o', str(out)]!r}, standalone_mode=False)")
+    assert _loaded_after(code) == []
+    assert out.stat().st_size > 0

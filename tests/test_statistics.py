@@ -1,11 +1,12 @@
 import math
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.linalg import eigvalsh_tridiagonal
-from scipy.special import gammaln
+from scipy.special import chdtrc, gammaln
 from scipy.stats import chi2 as chi2_dist
 from scipy.stats import ks_2samp, kstest
 
@@ -82,7 +83,8 @@ class TestEnsembles:
         # `spacing`, checked at a non-unit spacing
         spacing = 0.5
         gaps = [
-            np.diff(_goe_tridiagonal_levels(250, substream(31, r), spacing)[self.CENTRAL])
+            np.diff(_goe_tridiagonal_levels(
+                250, substream(31, r), spacing, eigvalsh_tridiagonal)[self.CENTRAL])
             for r in range(100)
         ]
         assert abs(np.mean(gaps) / spacing - 1.0) <= 0.02
@@ -91,7 +93,8 @@ class TestEnsembles:
         # central nearest-neighbour spacings of the tridiagonal model and of
         # the dense matrix follow one law
         tri = np.concatenate([
-            np.diff(_goe_tridiagonal_levels(250, substream(32, r), 1.0)[self.CENTRAL])
+            np.diff(_goe_tridiagonal_levels(
+                250, substream(32, r), 1.0, eigvalsh_tridiagonal)[self.CENTRAL])
             for r in range(300)
         ])
         dense = np.concatenate([
@@ -383,7 +386,7 @@ class TestRepresentationRoute:
         ref = (n - 1) // 2
         gaps = np.empty(4000)
         for r in range(gaps.size):
-            levels = _goe_tridiagonal_levels(n, substream(2024, r), 1.0)
+            levels = _goe_tridiagonal_levels(n, substream(2024, r), 1.0, eigvalsh_tridiagonal)
             gaps[r] = 0.5 * (levels[ref + 1] - levels[ref - 1])
         se = gaps.std() / math.sqrt(gaps.size)
         assert abs(gaps.mean() - 1.0) <= 3 * se
@@ -606,6 +609,14 @@ class TestCompareHistogram:
         with pytest.raises(ValueError, match="1000"):
             compare_histogram(self._kernel_samples(rng, 500), phi_pf)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_samples_rejected(self, rng, bad):
+        # an infinite bracket would leave the bisection's midpoints NaN
+        samples = self._kernel_samples(rng, 2000)
+        samples[5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            compare_histogram(samples, phi_pf, cdf=phi_pf_cdf)
+
     @pytest.mark.parametrize("model, config", [
         ("pf", pf_config(m=2, realizations=60)),
         ("goe", goe_direct_config(realizations=60)),
@@ -616,6 +627,74 @@ class TestCompareHistogram:
             samples, lambda y: velocity_pdf(y, 2, model), cdf=lambda y: velocity_cdf(y, 2, model)
         )
         assert report.p_value == float(chi2_dist.sf(report.statistic, report.dof))
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 10])
+    @pytest.mark.parametrize("model", ["pf", "goe"])
+    def test_bisection_edges_match_brentq(self, model, m):
+        from scipy.optimize import brentq
+
+        samples = sample_velocities_representation(EnsembleConfig(
+            n_levels=50, n_channels=m, realizations=2000, central_window=25,
+            seed=40 + m, model=SpectrumModel(model), route="representation",
+        ))
+        cdf = partial(velocity_cdf, m=m, model=model)
+        report = compare_histogram(samples, partial(velocity_pdf, m=m, model=model), cdf=cdf,
+                                   singular=partial(singular_points, m=m))
+        # the search the bisection replaced: one brentq per edge
+        k = report.n_bins
+        span = float(np.abs(samples.values).max())
+        reference = []
+        for i in range(1, k):
+            lo, hi = -1.1 * span - 1.0, 1.1 * span + 1.0
+            while cdf(lo) >= i / k:
+                lo = lo - (hi - lo)
+            while cdf(hi) <= i / k:
+                hi = hi + (hi - lo)
+            reference.append(brentq(lambda y: cdf(y) - i / k, lo, hi, xtol=1e-12))
+        reference = np.array(reference)
+        eps = np.finfo(float).eps
+        assert (np.abs(report.chi_edges - reference) <= 2e-12 + 8 * eps * np.abs(reference)).all()
+        observed = np.bincount(np.searchsorted(reference, samples.values), minlength=k)
+        np.testing.assert_array_equal(report.observed, observed)
+        statistic = float(np.sum((observed - report.expected) ** 2) / report.expected)
+        assert report.p_value == float(chdtrc(k - 1, statistic))
+
+    @pytest.mark.parametrize("pdf", [phi_goe, phi_pf, partial(velocity_pdf, m=2, model="goe")])
+    def test_numeric_cdf_matches_cumulative_trapezoid(self, pdf):
+        lo, hi = -7.3, 7.3
+        grid = np.linspace(lo, hi, 20001)
+        cum = integrate.cumulative_trapezoid(pdf(grid), grid, initial=0.0)
+        cum /= cum[-1]
+        y = np.concatenate([grid, np.linspace(-8.0, 8.0, 1001)])
+        assert np.array_equal(statistics._numeric_cdf(pdf, lo, hi)(y), np.interp(y, grid, cum))
+
+    def test_singular_centers_are_masked(self):
+        # the middle one of 41 bins over [-2, 2] is centered exactly at 0,
+        # where the single-channel density diverges
+        samples = sample_velocities_representation(
+            pf_config(m=1, realizations=2000, n=50, route="representation"))
+        pdf = partial(velocity_pdf, m=1, model="pf")
+        kwargs = dict(cdf=partial(velocity_cdf, m=1, model="pf"),
+                      density_range=(-2.0, 2.0), density_bins=41)
+        with pytest.raises(ValueError, match="singular"):
+            compare_histogram(samples, pdf, **kwargs)
+        report = compare_histogram(samples, pdf, singular=partial(singular_points, m=1), **kwargs)
+        centers = report.density_table()[:, 2]
+        assert centers[20] == 0.0
+
+        def per_point(y):
+            try:
+                return pdf(y)
+            except ValueError:
+                return np.nan
+
+        reference = np.array([per_point(y) for y in centers])
+        np.testing.assert_array_equal(np.isnan(report.density_pdf), np.isnan(reference))
+        finite = np.isfinite(reference)
+        np.testing.assert_allclose(report.density_pdf[finite], reference[finite],
+                                   rtol=4 * np.finfo(float).eps, atol=0)
+        assert report.sup_norm == float(
+            np.abs(report.density_values[finite] - report.density_pdf[finite]).max())
 
     def test_density_table_layout(self, rng):
         samples = self._kernel_samples(rng, 5000)
