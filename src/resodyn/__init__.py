@@ -18,7 +18,6 @@ from .perturbation import (
     InteriorPerturbation,
     ResonanceShift,
     finite_difference_velocities,
-    finite_difference_velocity,
     first_order_shift,
     weak_coupling_width_velocity,
     width_shift_from_U,
@@ -91,7 +90,6 @@ __all__ = [
     "first_order_shift",
     "width_shift_from_U",
     "weak_coupling_width_velocity",
-    "finite_difference_velocity",
     "finite_difference_velocities",
     # two-level model
     "TwoLevelParams",

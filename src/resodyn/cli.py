@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .errors import ExceptionalPointError, MatchingError, SmallDenominatorError
 from .statistics import (
+    MAX_CHANNELS,
     EnsembleConfig,
     SpectrumModel,
     large_m_limit_pf,
@@ -167,6 +168,13 @@ def _require(ctx: click.Context, *names: str):
     if missing:
         flags = ", ".join("--" + n.replace("_", "-") for n in missing)
         raise click.UsageError(f"missing required option(s): {flags}")
+
+
+def _check_channel_count(m: int) -> None:
+    """Refuse, before any work, a channel count the analytic curves refuse;
+    a usage error (exit 1) reported on one line."""
+    if m > MAX_CHANNELS:
+        raise click.ClickException(f"m must be at most {MAX_CHANNELS}, got {m}")
 
 
 def _fresh_seed() -> int:
@@ -352,6 +360,7 @@ def cmd_ensemble(ctx, model, n_levels, n_channels, realizations, window, route, 
         )
     except ValueError as exc:
         raise click.UsageError(str(exc))
+    _check_channel_count(cfg.n_channels)
 
     # a GOE direct-route realization holds up to about seven n x n matrices
     # at once (measured 5.3-6.8 per worker at n=1200; a picket-fence one about
@@ -428,6 +437,7 @@ def cmd_dist(ctx, model, n_channels, y, y_min, y_max, steps, output, config):
     m = p["n_channels"]
     if m < 1:
         raise click.UsageError("m must be >= 1")
+    _check_channel_count(m)
     if p["steps"] < 1:
         raise click.UsageError("steps must be >= 1")
     if p["y"] is not None:

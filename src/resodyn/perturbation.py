@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import MatchingAmbiguityWarning, MatchingError, SmallDenominatorError
 from .spectral import (
+    SYMMETRY_TOL,
     BiorthogonalSystem,
     EffectiveHamiltonian,
     NonorthogonalityMatrix,
@@ -31,11 +32,9 @@ __all__ = [
     "first_order_shift",
     "width_shift_from_U",
     "weak_coupling_width_velocity",
-    "finite_difference_velocity",
     "finite_difference_velocities",
 ]
 
-SYMMETRY_TOL = 1e-12
 DENOMINATOR_REL_TOL = 1e-8
 
 
@@ -136,8 +135,6 @@ def weak_coupling_width_velocity(
     coupling,
     v_matrix,
     n: int,
-    *,
-    denominator_tol: float | None = None,
 ) -> float:
     """Width velocity of level n for weak coupling to the continuum.
 
@@ -150,7 +147,7 @@ def weak_coupling_width_velocity(
                                       E_n - E_m
 
     Raises :class:`SmallDenominatorError` when some |E_n - E_m| falls below
-    the tolerance (default 1e-8 times the mean level spacing).
+    1e-8 times the mean level spacing.
     """
     e = np.asarray(levels, dtype=float)
     q = np.asarray(eigenbasis, dtype=float)
@@ -165,7 +162,7 @@ def weak_coupling_width_velocity(
         raise IndexError(f"level index {n} out of range for N={n_levels}")
 
     spacing = (e.max() - e.min()) / max(n_levels - 1, 1)
-    tol = denominator_tol if denominator_tol is not None else DENOMINATOR_REL_TOL * spacing
+    tol = DENOMINATOR_REL_TOL * spacing
     diff = e[n] - e
     others = np.arange(n_levels) != n
     if (np.abs(diff[others]) < tol).any():
@@ -226,15 +223,3 @@ def finite_difference_velocities(
     dg = (plus.widths[p_plus] - minus.widths[p_minus]) / (2.0 * step)
     return de, dg
 
-
-def finite_difference_velocity(
-    h: EffectiveHamiltonian,
-    pert: InteriorPerturbation,
-    n: int,
-    step: float | None = None,
-) -> tuple[float, float]:
-    """Central-difference (dE_n/dalpha, dGamma_n/dalpha) for one resonance."""
-    if not 0 <= n < h.dim_levels:
-        raise IndexError(f"level index {n} out of range for N={h.dim_levels}")
-    de, dg = finite_difference_velocities(h, pert, step)
-    return float(de[n]), float(dg[n])

@@ -358,7 +358,8 @@ def _kernel(model) -> tuple:
 # t = e^-45 lies 22 e-folds below the smallest accepted |y| = SINGULAR_Y,
 # beyond which even the single-channel density's integrand has decayed.
 # The weight underflows to zero before the upper end t = 100 for every m
-# up to 5000; larger m are refused.
+# up to MAX_CHANNELS; larger m are refused.
+MAX_CHANNELS = 5000
 _RULE_STEP = 0.125
 _RULE_U = np.arange(-45.0, 100.0 + _RULE_STEP / 2, _RULE_STEP)
 _RULE_T = np.logaddexp(0.0, _RULE_U)
@@ -381,6 +382,10 @@ def singular_points(y, m: int) -> np.ndarray:
 
 
 def _mixture(y, m: int, kernel, weight_power: int):
+    if m < 1:
+        raise ValueError("channel count m must be >= 1")
+    if m > MAX_CHANNELS:
+        raise ValueError(f"channel count m={m} is too large; at most {MAX_CHANNELS}")
     # node weights step * 2 t^p exp(-t^2/2) dt/du / (2^(m/2) Gamma(m/2));
     # p = weight_power = m-2 carries the extra 1/sqrt(kappa) of the density
     # mixture, m-1 is the plain chi-square weight of the cumulative mixture
@@ -406,10 +411,9 @@ def velocity_pdf(y, m: int, model):
     evaluated for all y at once with one fixed trapezoid rule after the
     substitution k = t^2.  For a single channel the density has an
     integrable divergence at y = 0; points with ``|y| < SINGULAR_Y`` are
-    rejected as singular rather than approximated.
+    rejected as singular rather than approximated.  Channel counts above
+    :data:`MAX_CHANNELS` are refused.
     """
-    if m < 1:
-        raise ValueError("channel count m must be >= 1")
     phi, _ = _kernel(model)
     if singular_points(y, m).any():
         raise ValueError("singular point: the single-channel density diverges at y=0")
@@ -419,8 +423,6 @@ def velocity_pdf(y, m: int, model):
 def velocity_cdf(y, m: int, model):
     """Cumulative velocity distribution: the same chi-square mixture of the
     kernel's cdf, evaluated with the same fixed rule."""
-    if m < 1:
-        raise ValueError("channel count m must be >= 1")
     _, kernel_cdf = _kernel(model)
     return _mixture(y, m, kernel_cdf, weight_power=m - 1)
 
@@ -699,8 +701,6 @@ class FitReport:
     sup_norm: float
     n_samples: int
     n_bins: int
-    coarsened: bool
-    note: str
     chi_edges: np.ndarray
     observed: np.ndarray
     expected: float
@@ -723,23 +723,6 @@ class FitReport:
                 self.density_pdf,
             ]
         )
-
-
-def _numeric_cdf(pdf, lo: float, hi: float):
-    # the trapezoid rule's running sum, as scipy.integrate.cumulative_trapezoid
-    # with initial=0 computes it
-    grid = np.linspace(lo, hi, 20001)
-    vals = np.asarray(pdf(grid), dtype=float)
-    cum = np.concatenate(([0.0], np.cumsum(np.diff(grid) * (vals[1:] + vals[:-1]) / 2.0)))
-    total = cum[-1]
-    if total <= 0:
-        raise ValueError("density integrates to zero over the sample range")
-    cum /= total
-
-    def cdf(y):
-        return np.interp(y, grid, cum)
-
-    return cdf
 
 
 # the quantile edges are bracketed to within _XTOL + _RTOL |x|, the stopping
@@ -779,33 +762,22 @@ def _quantiles(cdf, qs: np.ndarray, lo: float, hi: float) -> np.ndarray:
         b = np.where(below, b, mid)
 
 
-def compare_histogram(
-    samples,
-    pdf,
-    *,
-    cdf=None,
-    chi_bins: int = 40,
-    min_expected: int = 10,
-    density_bins: int = 61,
-    density_range: tuple[float, float] | None = None,
-    singular=None,
-) -> FitReport:
+def compare_histogram(samples, pdf, *, cdf, singular=None) -> FitReport:
     """Goodness-of-fit report of velocity samples against an analytic density.
 
-    The chi-square statistic uses equal-probability bins (edges are
-    quantiles of the target density); bins are coarsened, with a note, if
-    the expected count per bin would fall below `min_expected`.  The
-    p-value is the chi-square survival function from ``scipy.special``
-    (``chdtrc``, which ``scipy.stats.chi2.sf`` calls) at ``k - 1`` degrees
-    of freedom, so the fit does not import ``scipy.stats``.  The sup-norm
-    compares an equal-width binned density against the pdf at the bin
-    centers over `density_range` (central 99% of the samples by default);
-    the same binning is exposed for plotting.
+    The chi-square statistic uses 40 equal-probability bins (edges are
+    quantiles of `cdf`); at the 1000 samples required at least, each bin
+    expects 25.  The p-value is the chi-square survival function from
+    ``scipy.special`` (``chdtrc``, which ``scipy.stats.chi2.sf`` calls) at
+    39 degrees of freedom, so the fit does not import ``scipy.stats``.  The
+    sup-norm compares a density binned into 61 equal-width bins over the
+    central 99% of the samples against the pdf at the bin centers; the same
+    binning is exposed for plotting.
 
-    `pdf` and `cdf` must be vectorized over y; `cdf`, if omitted, is built
-    numerically from `pdf`.  `singular(y)`, if given, masks the points where
-    `pdf` is singular (:func:`singular_points` for :func:`velocity_pdf`):
-    their bin centers get a NaN density and stay out of the sup-norm.
+    `pdf` and `cdf` must be vectorized over y.  `singular(y)`, if given,
+    masks the points where `pdf` is singular (:func:`singular_points` for
+    :func:`velocity_pdf`): their bin centers get a NaN density and stay out
+    of the sup-norm.
     """
     values = samples.values if isinstance(samples, VelocitySampleSet) else np.asarray(samples, dtype=float)
     n = values.size
@@ -814,28 +786,18 @@ def compare_histogram(
     if not np.isfinite(values).all():
         raise ValueError("samples must be finite")
 
-    note = ""
-    coarsened = False
-    k = chi_bins
-    if n / k < min_expected:
-        k = max(2, n // min_expected)
-        coarsened = True
-        note = f"coarsened to {k} bins to keep >= {min_expected} expected counts per bin"
-
+    k = 40
     span = float(np.abs(values).max())
     lo, hi = -1.1 * span - 1.0, 1.1 * span + 1.0
-    cdf_fn = cdf if cdf is not None else _numeric_cdf(pdf, lo, hi)
-    edges = _quantiles(cdf_fn, np.arange(1, k) / k, lo, hi)
+    edges = _quantiles(cdf, np.arange(1, k) / k, lo, hi)
     observed = np.bincount(np.searchsorted(edges, values), minlength=k).astype(float)
     expected = n / k
     statistic = float(np.sum((observed - expected) ** 2) / expected)
     dof = k - 1
     p_value = float(chdtrc(dof, statistic))
 
-    if density_range is None:
-        a = float(np.quantile(np.abs(values), 0.995))
-        density_range = (-a, a)
-    density_counts, density_edges = np.histogram(values, bins=density_bins, range=density_range)
+    a = float(np.quantile(np.abs(values), 0.995))
+    density_counts, density_edges = np.histogram(values, bins=61, range=(-a, a))
     density_values = density_counts / (n * np.diff(density_edges))
     centers = 0.5 * (density_edges[:-1] + density_edges[1:])
     masked = np.zeros(centers.shape, bool) if singular is None else singular(centers)
@@ -851,8 +813,6 @@ def compare_histogram(
         sup_norm=sup_norm,
         n_samples=n,
         n_bins=k,
-        coarsened=coarsened,
-        note=note,
         chi_edges=edges,
         observed=observed,
         expected=expected,

@@ -101,9 +101,11 @@ class MixingState:
 
     ``f`` parametrizes the right eigenvectors as N(1, -if) and N(if, 1) with
     N^2 = 1/(1 - f^2); ``branch_root`` is the principal square root of
-    eps^2 - nu^2 whose + sign defines label 1.  ``|f| = 1`` (equivalently
+    eps^2 - nu^2 whose + sign defines label 1.  ``f = +-1`` (equivalently
     eps = +-nu) marks an exceptional point, where the two eigenvectors
-    coalesce and become self-orthogonal.
+    coalesce and become self-orthogonal; ``exceptional`` flags the states
+    within tolerance of it.  ``|f| = 1`` alone is not one: ``f = i`` gives
+    orthogonal states and U = identity.
     """
 
     epsilon: complex
@@ -144,10 +146,24 @@ def _ep_distance(eps, nu):
     return np.minimum(np.abs(eps - nu), np.abs(eps + nu))
 
 
-def _near_ep(p: TwoLevelParams, eps, nu):
-    """Within relative tolerance of an exceptional point (eps = +-nu)."""
-    scale = np.maximum(np.maximum(np.abs(eps), np.abs(nu)), abs(p.delta))
-    return _ep_distance(eps, nu) < EP_REL_TOL * scale
+def _near_ep(f):
+    """The model's one exceptional-point rule: f within tolerance of +-1.
+
+    ``|1 - f^2|^2 <= EP_REL_TOL (1 + |f|^2)^2``.  The left side equals the
+    velocity denominator ``(1 + |f|^2)^2 - 4 (Re f)^2``, and the rule is
+    invariant under f -> -f and f -> 1/f, so it does not depend on labels.
+    """
+    return np.abs(1.0 - f * f) ** 2 <= EP_REL_TOL * (1.0 + np.abs(f) ** 2) ** 2
+
+
+def _off_ep(f) -> complex:
+    """``f`` as a complex number; raises at an exceptional point."""
+    f = complex(f)
+    if _near_ep(f):
+        raise ExceptionalPointError(
+            f"self-orthogonal eigenvectors at f={f:.6g} (exceptional point)"
+        )
+    return f
 
 
 def two_level_hamiltonian(p: TwoLevelParams) -> np.ndarray:
@@ -197,7 +213,7 @@ def closed_form_resonances(p: TwoLevelParams, alpha: float | None = None):
     a = p.alpha if alpha is None else alpha
     eps, nu = _eps_nu(p, a)
     root = _branch_root(eps, nu)
-    if _near_ep(p, eps, nu):
+    if _near_ep(_mixing(eps, nu, root)):
         warnings.warn(
             f"parameters sit at an exceptional point (alpha={a!r}); "
             "resonances are confluent",
@@ -220,7 +236,7 @@ def mixing_state(p: TwoLevelParams, alpha: float | None = None) -> MixingState:
     eps, nu = _eps_nu(p, a)
     root = _branch_root(eps, nu)
     f = complex(_mixing(eps, nu, root))
-    exceptional = bool(_near_ep(p, eps, nu))
+    exceptional = bool(_near_ep(f))
     if exceptional:
         warnings.warn(
             f"mixing parameter at an exceptional point (alpha={a!r}, f={f:.6g})",
@@ -243,12 +259,7 @@ def _u_entries(f):
 
 def two_level_U(f: complex) -> NonorthogonalityMatrix:
     """Bell-Steinberger matrix ``|N|^2 [[1+|f|^2, -2i Re f], [2i Re f, 1+|f|^2]]``."""
-    f = complex(f)
-    if abs(1.0 - f * f) <= EP_REL_TOL * (1.0 + abs(f) ** 2):
-        raise ExceptionalPointError(
-            f"self-orthogonal eigenvectors at f={f:.6g}; U diverges"
-        )
-    diag, off_im, _ = _u_entries(f)
+    diag, off_im, _ = _u_entries(_off_ep(f))
     u = np.array([[diag, 1j * off_im], [-1j * off_im, diag]])
     return NonorthogonalityMatrix(u=u, hermiticity_defect=0.0)
 
@@ -274,14 +285,6 @@ def _energy_velocity_raw(f, d, v):
     )
 
 
-def _check_velocity_denominator(f):
-    denom = _velocity_denominator(f)
-    if denom <= EP_REL_TOL * (1.0 + abs(f) ** 2) ** 2:
-        raise ExceptionalPointError(
-            f"velocity denominator collapses at f={f:.6g} (exceptional point)"
-        )
-
-
 def width_velocity(f: complex, d: float, v: float) -> tuple[float, float]:
     """Parametric width velocities (dGamma1/dalpha, dGamma2/dalpha).
 
@@ -289,17 +292,13 @@ def width_velocity(f: complex, d: float, v: float) -> tuple[float, float]:
     label 1; label 2 is its exact negative.  Vanishes when Re f = 0, i.e.
     exactly when the two resonance states are orthogonal.
     """
-    f = complex(f)
-    _check_velocity_denominator(f)
-    g1 = float(_width_velocity_raw(f, d, v))
+    g1 = float(_width_velocity_raw(_off_ep(f), d, v))
     return g1, -g1
 
 
 def energy_velocity(f: complex, d: float, v: float) -> tuple[float, float]:
     """Parametric energy velocities (dE1/dalpha, dE2/dalpha); dE2 = -dE1."""
-    f = complex(f)
-    _check_velocity_denominator(f)
-    e1 = float(_energy_velocity_raw(f, d, v))
+    e1 = float(_energy_velocity_raw(_off_ep(f), d, v))
     return e1, -e1
 
 
@@ -397,7 +396,7 @@ def sweep(p: TwoLevelParams, alpha_grid) -> SweepResult:
     center = -0.25j * (p.gamma1 + p.gamma2)
     v1 = center + 0.5 * root
     v2 = center - 0.5 * root
-    ep_mask = _near_ep(p, eps, nu)
+    ep_mask = _near_ep(f)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         de1 = _energy_velocity_raw(f, p.d, p.v)
@@ -445,9 +444,9 @@ def _scan_width_velocity(p: TwoLevelParams, bracket, scan_points):
     if not hi > lo:
         raise ValueError("bracket must satisfy lo < hi")
     grid = np.linspace(lo, hi, scan_points)
-    eps, nu, _, f, dg1 = _branch_values(p, grid)
+    _, _, _, f, dg1 = _branch_values(p, grid)
     re_f = f.real
-    bad = _near_ep(p, eps, nu)
+    bad = _near_ep(f)
     dg1[bad] = np.nan
     re_f[bad] = np.nan
     return grid, dg1, re_f
@@ -458,14 +457,13 @@ def find_alpha_star(
     bracket,
     *,
     scan_points: int = 2001,
-    xtol: float = 1e-10,
 ) -> float:
     """Strength maximizing |dGamma1/dalpha| inside the bracket.
 
     A dense pre-scan (default 2001 points) locates the global scan maximum,
-    which is then refined by bounded minimization to `xtol`.  Raises if the
-    scan maximum sits on the bracket edge or the velocity vanishes
-    identically (no nonorthogonality anywhere).
+    which is then refined by bounded minimization to 1e-10 in alpha.
+    Raises if the scan maximum sits on the bracket edge or the velocity
+    vanishes identically (no nonorthogonality anywhere).
     """
     from scipy.optimize import minimize_scalar  # keeps it off the CLI import
 
@@ -487,7 +485,7 @@ def find_alpha_star(
             objective,
             bounds=(grid[i - 1], grid[i + 1]),
             method="bounded",
-            options={"xatol": xtol},
+            options={"xatol": 1e-10},
         )
     return float(res.x)
 
@@ -497,12 +495,12 @@ def find_alpha_circ(
     bracket,
     *,
     scan_points: int = 2001,
-    xtol: float = 1e-12,
 ) -> float:
     """Strength where Re f = 0 (orthogonal states, vanishing width velocity).
 
     The first sign change of Re f on the dense scan is refined by Brent's
-    method to `xtol`.  Raises if Re f does not change sign in the bracket.
+    method to 1e-12 in alpha.  Raises if Re f does not change sign in the
+    bracket.
     """
     from scipy.optimize import brentq  # keeps it off the CLI import
 
@@ -522,4 +520,4 @@ def find_alpha_circ(
             warnings.simplefilter("ignore", ExceptionalPointWarning)
             return mixing_state(p, alpha=a).f.real
 
-    return float(brentq(re_mixing, grid[j], grid[j + 1], xtol=xtol))
+    return float(brentq(re_mixing, grid[j], grid[j + 1], xtol=1e-12))

@@ -273,6 +273,18 @@ class TestEnsembleCommand:
         assert runtime["workers"] == 1
         assert runtime["reason"] == "representation route is serial"
 
+    def test_channel_count_refused_before_sampling(self, runner, monkeypatch):
+        sampled = []
+        monkeypatch.setattr(cli, "sample_velocities_direct", lambda *a, **k: sampled.append(k))
+        result = runner.invoke(
+            main,
+            ["ensemble", "--model", "goe", "--n", "20", "--m", "5001",
+             "--realizations", "2", "--window", "5", "--seed", "1"],
+        )
+        assert result.exit_code == 1
+        assert "at most 5000" in result.output
+        assert sampled == []
+
 
 class TestDistCommand:
     def test_rigid_kernel_at_zero(self, runner):
@@ -363,15 +375,19 @@ class TestVerifyCommand:
 _DEFERRED_SCIPY = ("scipy.optimize", "scipy.integrate", "scipy.linalg", "scipy.stats")
 
 
+def _fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's resodyn."""
+    src = Path(cli.__file__).resolve().parents[1]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+
+
 def _loaded_after(code: str) -> list[str]:
     """The deferred scipy modules loaded after running `code` in a fresh interpreter."""
-    src = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
     probe = (f"{code}\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules "
              f"if '.'.join(m.split('.')[:2]) in {_DEFERRED_SCIPY!r})))")
     done = subprocess.run([sys.executable, "-c", probe],
-                          env=env, capture_output=True, text=True, timeout=120, check=True)
+                          env=_fresh_env(), capture_output=True, text=True, timeout=120, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
 
@@ -394,3 +410,24 @@ def test_command_leaves_deferred_scipy_unloaded(args, tmp_path):
             f"main.main(args={[*args, '-o', str(out)]!r}, standalone_mode=False)")
     assert _loaded_after(code) == []
     assert out.stat().st_size > 0
+
+
+@pytest.mark.parametrize("args", [
+    ["dist", "--model", "pf", "--y", "1"],
+    ["ensemble", "--model", "goe", "--n", "20", "--realizations", "2", "--window", "5",
+     "--seed", "1"],
+], ids=["dist", "ensemble"])
+def test_channel_count_limit(args, tmp_path):
+    # the analytic curves stop at MAX_CHANNELS = 5000; above it the command
+    # refuses the flag on one line instead of failing after the work
+    def run(m):
+        return subprocess.run(
+            [sys.executable, "-m", "resodyn.cli", *args, "--m", str(m),
+             "-o", str(tmp_path / "out.csv")],
+            env=_fresh_env(), capture_output=True, text=True, timeout=120)
+
+    assert run(5000).returncode == 0
+    refused = run(5001)
+    assert refused.returncode == 1
+    assert "Traceback" not in refused.stdout + refused.stderr
+    assert refused.stderr.splitlines() == ["Error: m must be at most 5000, got 5001"]

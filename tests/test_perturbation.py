@@ -9,7 +9,6 @@ from resodyn import (
     decay_vectors,
     diagonalize,
     finite_difference_velocities,
-    finite_difference_velocity,
     first_order_shift,
     mixing_state,
     sample_couplings,
@@ -190,7 +189,7 @@ class TestFiniteDifference:
         f = mixing_state(p).f
         gdot_exact = width_velocity(f, p.d, p.v)[0]
         edot_exact = energy_velocity(f, p.d, p.v)[0]
-        found = [finite_difference_velocity(heff, pert, n, step=1e-6) for n in range(2)]
+        found = zip(*finite_difference_velocities(heff, pert, step=1e-6))
         # diagonalize orders by energy; match by the energy-velocity sign
         by_sign = {np.sign(round(e, 6)): (e, g) for e, g in found}
         e_plus, g_plus = by_sign[np.sign(round(edot_exact, 6))]
@@ -229,8 +228,8 @@ class TestFiniteDifference:
         fd_pert = InteriorPerturbation(v_matrix=v, strength=0.0)
         errors = []
         for step in (1e-4, 5e-5, 2.5e-5):
-            de, dg = finite_difference_velocity(heff, fd_pert, 3, step=step)
-            errors.append(abs(de - rate.real) + abs(dg - (-2 * rate.imag)))
+            de, dg = finite_difference_velocities(heff, fd_pert, step=step)
+            errors.append(abs(de[3] - rate.real) + abs(dg[3] - (-2 * rate.imag)))
         assert errors[1] <= 0.5 * errors[0] * 1.05 + 1e-12
         assert errors[2] <= 0.5 * errors[1] * 1.05 + 1e-12
 

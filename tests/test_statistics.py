@@ -29,6 +29,7 @@ from resodyn import (
     substream,
     velocity_cdf,
     velocity_pdf,
+    weak_coupling_width_velocity,
 )
 from resodyn import statistics
 from resodyn.statistics import (
@@ -310,9 +311,13 @@ class TestMixtureRuleOracle:
         assert velocity_pdf(SINGULAR_Y, 1, "pf") > 0.0
 
     def test_huge_channel_count_refused(self):
+        assert statistics.MAX_CHANNELS == 5000
         assert velocity_cdf(0.0, 5000, "pf") == pytest.approx(0.5, abs=1e-11)
-        with pytest.raises(ValueError, match="too large"):
-            velocity_cdf(0.0, 10000, "pf")
+        assert velocity_pdf(1.0, 5000, "goe") > 0.0
+        for m in (5001, 10000):
+            for fn in (velocity_pdf, velocity_cdf):
+                with pytest.raises(ValueError, match="too large"):
+                    fn(1.0, m, "pf")
 
 
 class TestLargeChannelLimit:
@@ -467,6 +472,34 @@ class TestDirectRoute:
         expected = gdot * (n * 1.0 / (2.0 * math.pi) / (gamma_bar * math.sqrt(tr_sq)))
         assert got.shape == expected.shape and np.all(got == expected)
 
+    def test_goe_stream_matches_the_weak_coupling_formula(self):
+        # GOE realization = (H, A, x) from the keyed substream; each level's
+        # velocity is the reference formula, rescaled as the sampler does
+        n, m, window, seed = 120, 2, 15, 3
+        cfg = EnsembleConfig(
+            n_levels=n, n_channels=m, realizations=2, central_window=window,
+            seed=seed, model=SpectrumModel.goe(), route="direct",
+        )
+        samples = sample_velocities_direct(cfg)
+        np.testing.assert_array_equal(samples.counts, [window, window])
+        gamma_bar = statistics.WEAK_COUPLING_GAMMA
+        expected = []
+        for r in range(cfg.realizations):
+            gen = substream(seed, r)
+            levels, basis = np.linalg.eigh(sample_goe(n, gen))
+            a = sample_couplings(n, m, gamma_bar, gen)
+            x = gen.standard_normal((n, n))
+            pert = (x + x.T) / math.sqrt(2.0)
+            scale = n / (2.0 * math.pi) / (gamma_bar * math.sqrt(float(np.sum(pert * pert))))
+            idx = np.sort(np.argsort(np.abs(levels), kind="stable")[:window])
+            expected.extend(
+                scale * weak_coupling_width_velocity(levels, basis, a, pert, k) for k in idx
+            )
+        # relative to the largest velocity: single sums cancel to far below it
+        expected = np.array(expected)
+        err = np.abs(samples.values - expected).max() / np.abs(expected).max()
+        assert err <= 1e-12, err
+
     def test_workers_do_not_change_the_stream(self):
         serial = sample_velocities_direct(pf_config(seed=9), workers=1)
         threaded = sample_velocities_direct(pf_config(seed=9), workers=4)
@@ -594,20 +627,9 @@ class TestCompareHistogram:
         report = compare_histogram(samples, corrupted_pdf, cdf=corrupted_cdf)
         assert report.p_value < 1e-6
 
-    def test_numeric_cdf_fallback(self, rng):
-        samples = self._kernel_samples(rng, 5000)
-        report = compare_histogram(samples, phi_pf)
-        assert report.p_value >= 0.001
-
-    def test_bin_coarsening_note(self, rng):
-        samples = self._kernel_samples(rng, 1000)
-        report = compare_histogram(samples, phi_pf, cdf=phi_pf_cdf, chi_bins=200)
-        assert report.coarsened and report.n_bins == 100
-        assert "coarsened" in report.note
-
     def test_too_few_samples_rejected(self, rng):
         with pytest.raises(ValueError, match="1000"):
-            compare_histogram(self._kernel_samples(rng, 500), phi_pf)
+            compare_histogram(self._kernel_samples(rng, 500), phi_pf, cdf=phi_pf_cdf)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_samples_rejected(self, rng, bad):
@@ -659,28 +681,18 @@ class TestCompareHistogram:
         statistic = float(np.sum((observed - report.expected) ** 2) / report.expected)
         assert report.p_value == float(chdtrc(k - 1, statistic))
 
-    @pytest.mark.parametrize("pdf", [phi_goe, phi_pf, partial(velocity_pdf, m=2, model="goe")])
-    def test_numeric_cdf_matches_cumulative_trapezoid(self, pdf):
-        lo, hi = -7.3, 7.3
-        grid = np.linspace(lo, hi, 20001)
-        cum = integrate.cumulative_trapezoid(pdf(grid), grid, initial=0.0)
-        cum /= cum[-1]
-        y = np.concatenate([grid, np.linspace(-8.0, 8.0, 1001)])
-        assert np.array_equal(statistics._numeric_cdf(pdf, lo, hi)(y), np.interp(y, grid, cum))
-
     def test_singular_centers_are_masked(self):
-        # the middle one of 41 bins over [-2, 2] is centered exactly at 0,
-        # where the single-channel density diverges
+        # the middle one of the 61 bins over a symmetric range is centered
+        # exactly at 0, where the single-channel density diverges
         samples = sample_velocities_representation(
             pf_config(m=1, realizations=2000, n=50, route="representation"))
         pdf = partial(velocity_pdf, m=1, model="pf")
-        kwargs = dict(cdf=partial(velocity_cdf, m=1, model="pf"),
-                      density_range=(-2.0, 2.0), density_bins=41)
+        cdf = partial(velocity_cdf, m=1, model="pf")
         with pytest.raises(ValueError, match="singular"):
-            compare_histogram(samples, pdf, **kwargs)
-        report = compare_histogram(samples, pdf, singular=partial(singular_points, m=1), **kwargs)
+            compare_histogram(samples, pdf, cdf=cdf)
+        report = compare_histogram(samples, pdf, cdf=cdf, singular=partial(singular_points, m=1))
         centers = report.density_table()[:, 2]
-        assert centers[20] == 0.0
+        assert centers[30] == 0.0
 
         def per_point(y):
             try:
@@ -698,9 +710,9 @@ class TestCompareHistogram:
 
     def test_density_table_layout(self, rng):
         samples = self._kernel_samples(rng, 5000)
-        report = compare_histogram(samples, phi_pf, cdf=phi_pf_cdf, density_bins=41)
+        report = compare_histogram(samples, phi_pf, cdf=phi_pf_cdf)
         table = report.density_table()
-        assert table.shape == (41, 6)
+        assert table.shape == (61, 6)
         widths = table[:, 1] - table[:, 0]
         np.testing.assert_allclose(widths, widths[0], rtol=1e-9)
 

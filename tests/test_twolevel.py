@@ -340,3 +340,38 @@ class TestExceptionalPointDistance:
             grid = np.linspace(-2, 2, 801)
             distances.append(min(exceptional_point_distance(p, alpha=a) for a in grid))
         assert distances[0] < distances[1] < distances[2]
+
+
+class TestExceptionalPointRule:
+    def test_all_verdicts_agree_near_an_exceptional_point(self):
+        # eps = nu = 1/4 exactly at alpha = 0; d moves eps off the branching
+        # point, so the tolerance is crossed inside the alpha ladder
+        p = TwoLevelParams(delta=0.25, gamma1=0.25, gamma2=0.25, theta=0.0, d=0.1, v=0.0)
+
+        def raises(fn, *args):
+            try:
+                fn(*args)
+            except ExceptionalPointError:
+                return True
+            return False
+
+        verdicts = []
+        for alpha in (0.0, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                closed_form_resonances(p, alpha)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ExceptionalPointWarning)
+                ms = mixing_state(p, alpha)
+            f = ms.f
+            row = (
+                any(issubclass(w.category, ExceptionalPointWarning) for w in caught),
+                ms.exceptional,
+                sweep(p, [alpha]).exceptional_rows.size == 1,
+                raises(two_level_U, f),
+                raises(width_velocity, f, p.d, p.v),
+                raises(energy_velocity, f, p.d, p.v),
+            )
+            assert len(set(row)) == 1, (alpha, row)
+            verdicts.append(row[0])
+        assert verdicts[0] and not verdicts[-1]
