@@ -30,7 +30,7 @@ import ctypes
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -589,6 +589,12 @@ def sample_velocities_representation(config: EnsembleConfig) -> VelocitySampleSe
     )
 
 
+def _reference_levels(levels: np.ndarray, window: int) -> np.ndarray:
+    """Ascending indices of the `window` levels nearest zero (ties to the
+    lower index): the reference levels of a direct-route realization."""
+    return np.sort(np.argsort(np.abs(levels), kind="stable")[:window])
+
+
 def sample_velocities_direct(
     config: EnsembleConfig, *, workers: int = 1
 ) -> VelocitySampleSet:
@@ -609,6 +615,16 @@ def sample_velocities_direct(
     cancels identically.  Levels with a neighbor closer than 1e-8 spacing
     are skipped and counted.
 
+    After the GOE matrix (if any), a realization's substream gives the
+    n_levels * n_channels normals of A, row by row, and then the
+    n_levels^2 normals of the matrix x with W = (x + x.T) / sqrt(2).
+    This is the one-channel-count case of :func:`_sample_direct`, through
+    which ``verify.rigid_samples`` draws its four sets (M = 1, 2, 5, 10)
+    in one pass: each realization draws one block of normals, and set M
+    takes its first n_levels * M as A and the next n_levels^2 as x, the
+    layout the sets always had, so they are correlated across M as
+    before.
+
     The realizations run on `workers` threads with numpy's OpenBLAS pinned
     to one thread, whatever `workers` is, and the previous BLAS thread count
     is restored afterwards.  The GIL is released in `eigh`, the matrix
@@ -618,17 +634,37 @@ def sample_velocities_direct(
     cannot be controlled, the realizations run serially.  The count is
     process-wide, so calls from several threads at once are not supported.
     """
+    return _sample_direct(config, (config.n_channels,), workers=workers)[config.n_channels]
+
+
+def _sample_direct(
+    config: EnsembleConfig, channels: tuple[int, ...], *, workers: int
+) -> dict[int, VelocitySampleSet]:
+    """Direct-route sample sets for each channel count M in `channels`,
+    from one pass over the realizations; ``config.n_channels`` is ignored.
+
+    Each realization draws one block of n_levels * max(channels) +
+    n_levels^2 normals after its GOE matrix (if any).  Set M takes the
+    first n_levels * M of them as A and the next n_levels^2 as x: the
+    stream :func:`sample_velocities_direct` draws for M, since consecutive
+    draws from one generator equal one draw of their total length.  So
+    each set is byte-identical to its own single-M call (``config`` is
+    ``replace(config, n_channels=M)``), and the sets are correlated across
+    M as the substreams they share make them.
+    """
     if config.route != "direct":
         raise ValueError(f"config.route is {config.route!r}, expected 'direct'")
+    configs = {m: replace(config, n_channels=m) for m in channels}
     model = config.model
     n, window = config.n_levels, config.central_window
     gamma_bar = WEAK_COUPLING_GAMMA * model.spacing
     rescale_num = n * model.spacing / (2.0 * math.pi)
     skip_tol = DEGENERACY_SKIP_TOL * model.spacing
+    block_size = n * max(configs) + n * n
 
     if model.is_rigid:
         pf_levels = picket_fence_spectrum(n, model.spacing)
-        pf_idx = np.sort(np.argsort(np.abs(pf_levels), kind="stable")[:window])
+        pf_idx = _reference_levels(pf_levels, window)
         with np.errstate(divide="ignore"):
             pf_inv = 1.0 / (pf_levels[pf_idx, None] - pf_levels[None, :])
         pf_inv[np.arange(window), pf_idx] = 0.0
@@ -640,30 +676,32 @@ def sample_velocities_direct(
             basis = None
         else:
             levels, basis = np.linalg.eigh(sample_goe(n, rng, model.spacing))
-            idx = np.sort(np.argsort(np.abs(levels), kind="stable")[:window])
+            idx = _reference_levels(levels, window)
             diff = levels[idx, None] - levels[None, :]
             diff[np.arange(window), idx] = np.inf
             keep_rows = np.abs(diff).min(axis=1) >= skip_tol
             inv = np.zeros_like(diff)
             np.divide(1.0, diff, out=inv, where=np.isfinite(diff))
             idx, inv = idx[keep_rows], inv[keep_rows]
-        amplitudes = sample_couplings(n, config.n_channels, gamma_bar, rng)
-        # pert = (x + x.T) / sqrt(2) and Tr pert^2 = sum(pert * pert), with
-        # the same operations in place: x holds the squares
-        x = rng.standard_normal((n, n))
-        pert = np.add(x, x.T)
-        pert /= math.sqrt(2.0)
-        tr_sq = float(np.sum(np.multiply(pert, pert, out=x)))
-        if basis is None:
-            b_rows = amplitudes[idx] @ amplitudes.T
-            w_rows = pert[idx]
-        else:
-            rotated = basis.T @ amplitudes
-            b_rows = rotated[idx] @ rotated.T
-            w_rows = (basis[:, idx].T @ pert) @ basis
-        gdot = 2.0 * np.sum(b_rows * w_rows * inv, axis=1)
-        y = gdot * (rescale_num / (gamma_bar * math.sqrt(tr_sq)))
-        return y, window - idx.size
+        block = rng.standard_normal(block_size)
+        ys = {}
+        for m in configs:
+            amplitudes = block[: n * m].reshape(n, m) * math.sqrt(gamma_bar)
+            x = block[n * m : n * m + n * n].reshape(n, n)
+            pert = np.add(x, x.T)
+            pert /= math.sqrt(2.0)
+            if basis is None:
+                b_rows = amplitudes[idx] @ amplitudes.T
+                w_rows = pert[idx]
+            else:
+                rotated = basis.T @ amplitudes
+                b_rows = rotated[idx] @ rotated.T
+                w_rows = (basis[:, idx].T @ pert) @ basis
+            # Tr pert^2 = sum(pert * pert), squared in place once w_rows is taken
+            tr_sq = float(np.sum(np.multiply(pert, pert, out=pert)))
+            gdot = 2.0 * np.sum(b_rows * w_rows * inv, axis=1)
+            ys[m] = gdot * (rescale_num / (gamma_bar * math.sqrt(tr_sq)))
+        return ys, window - idx.size
 
     blas = _blas_thread_control()
     if blas is None:
@@ -677,13 +715,15 @@ def sample_velocities_direct(
         finally:
             blas.set(previous)
         runtime = _runtime(blas, max(1, workers), None, 1)
-    values = np.concatenate([y for y, _ in results]) if results else np.empty(0)
-    counts = np.array([y.size for y, _ in results], dtype=int)
     skipped = int(sum(s for _, s in results))
-    return VelocitySampleSet(
-        values=values, config=config, counts=counts, skipped_levels=skipped,
-        runtime=runtime,
-    )
+    counts = np.array([window - s for _, s in results], dtype=int)
+    return {
+        m: VelocitySampleSet(
+            values=np.concatenate([ys[m] for ys, _ in results]),
+            config=cfg, counts=counts, skipped_levels=skipped, runtime=dict(runtime),
+        )
+        for m, cfg in configs.items()
+    }
 
 
 # ---------------------------------------------------------------------------

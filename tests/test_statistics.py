@@ -1,5 +1,6 @@
 import math
 import threading
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -51,6 +52,25 @@ def goe_direct_config(realizations=40, seed=5):
     return EnsembleConfig(
         n_levels=120, n_channels=2, realizations=realizations, central_window=25,
         seed=seed, model=SpectrumModel.goe(), route="direct",
+    )
+
+
+def _replay_direct_realization(cfg, r):
+    """Realization r of the direct route from its substream, level by level
+    through the reference formula: (H if GOE,) then A, then x."""
+    n, m, gamma_bar = cfg.n_levels, cfg.n_channels, statistics.WEAK_COUPLING_GAMMA
+    gen = substream(cfg.seed, r)
+    if cfg.model.is_rigid:
+        levels, basis = picket_fence_spectrum(n), np.eye(n)
+    else:
+        levels, basis = np.linalg.eigh(sample_goe(n, gen))
+    a = math.sqrt(gamma_bar) * gen.standard_normal((n, m))
+    x = gen.standard_normal((n, n))
+    pert = (x + x.T) / math.sqrt(2.0)
+    scale = n / (2.0 * math.pi) / (gamma_bar * math.sqrt(float(np.sum(pert * pert))))
+    idx = np.sort(np.argsort(np.abs(levels), kind="stable")[:cfg.central_window])
+    return np.array(
+        [scale * weak_coupling_width_velocity(levels, basis, a, pert, k) for k in idx]
     )
 
 
@@ -482,21 +502,10 @@ class TestDirectRoute:
         )
         samples = sample_velocities_direct(cfg)
         np.testing.assert_array_equal(samples.counts, [window, window])
-        gamma_bar = statistics.WEAK_COUPLING_GAMMA
-        expected = []
-        for r in range(cfg.realizations):
-            gen = substream(seed, r)
-            levels, basis = np.linalg.eigh(sample_goe(n, gen))
-            a = sample_couplings(n, m, gamma_bar, gen)
-            x = gen.standard_normal((n, n))
-            pert = (x + x.T) / math.sqrt(2.0)
-            scale = n / (2.0 * math.pi) / (gamma_bar * math.sqrt(float(np.sum(pert * pert))))
-            idx = np.sort(np.argsort(np.abs(levels), kind="stable")[:window])
-            expected.extend(
-                scale * weak_coupling_width_velocity(levels, basis, a, pert, k) for k in idx
-            )
+        expected = np.concatenate(
+            [_replay_direct_realization(cfg, r) for r in range(cfg.realizations)]
+        )
         # relative to the largest velocity: single sums cancel to far below it
-        expected = np.array(expected)
         err = np.abs(samples.values - expected).max() / np.abs(expected).max()
         assert err <= 1e-12, err
 
@@ -577,6 +586,38 @@ class TestDirectRoute:
             pf_config(m=2, realizations=4000, seed=8, route="representation")
         )
         assert ks_2samp(direct.values, rep.values).pvalue >= 0.01
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("model", [SpectrumModel.picket_fence(), SpectrumModel.goe()],
+                             ids=["pf", "goe"])
+    def test_shared_draw_matches_single_channel_calls(self, model, workers):
+        cfg = EnsembleConfig(
+            n_levels=40, n_channels=1, realizations=30, central_window=9,
+            seed=23, model=model, route="direct",
+        )
+        shared = statistics._sample_direct(cfg, (1, 2, 5, 10), workers=workers)
+        assert list(shared) == [1, 2, 5, 10]
+        for m, got in shared.items():
+            single = sample_velocities_direct(replace(cfg, n_channels=m), workers=workers)
+            assert got.config == single.config == replace(cfg, n_channels=m)
+            assert got.values.tobytes() == single.values.tobytes()
+            np.testing.assert_array_equal(got.counts, single.counts)
+            assert got.skipped_levels == single.skipped_levels
+            assert got.runtime == single.runtime
+            # and both follow the documented stream layout, replayed apart
+            # from the sampler: A from the first n*M normals, x the next n^2
+            expected = _replay_direct_realization(replace(cfg, n_channels=m), 0)
+            first = got.values[: got.counts[0]]
+            assert np.abs(first - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_consecutive_normals_equal_one_draw(self):
+        # the shared draw rests on this: a then b normals from a substream
+        # are one draw of a + b normals, split at a
+        for a, b in ((40, 1600), (400, 1600), (7, 3)):
+            gen = substream(5, 11)
+            parts = np.concatenate((gen.standard_normal(a), gen.standard_normal(b)))
+            whole = substream(5, 11).standard_normal(a + b)
+            assert parts.tobytes() == whole.tobytes()
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="central_window"):
@@ -761,13 +802,13 @@ class TestBlasPinning:
         pinned = sample_velocities_direct(goe_direct_config(), workers=2)
         monkeypatch.setattr(statistics, "_blas_thread_control", lambda: None)
         callers = set()
-        draw = statistics.sample_couplings
+        draw = statistics.substream
 
         def spy(*args):
             callers.add(threading.get_ident())
             return draw(*args)
 
-        monkeypatch.setattr(statistics, "sample_couplings", spy)
+        monkeypatch.setattr(statistics, "substream", spy)
         fallback = sample_velocities_direct(goe_direct_config(), workers=2)
         assert callers == {threading.get_ident()}
         assert fallback.runtime == {

@@ -98,19 +98,50 @@ def test_usable_cores(monkeypatch):
 def test_direct_draws_use_every_core(monkeypatch, cores):
     calls = []
 
-    def recorder(config, **kwargs):
+    def shared(config, channels, **kwargs):
+        calls.append((channels, config.realizations, kwargs))
+        return {}
+
+    def single(config, **kwargs):
         calls.append((config.n_channels, config.realizations, kwargs))
         return SimpleNamespace(values=np.linspace(-1.0, 1.0, 50))
 
     monkeypatch.setattr(verify, "_usable_cores", lambda: cores)
-    monkeypatch.setattr(verify, "sample_velocities_direct", recorder)
+    monkeypatch.setattr(verify, "_sample_direct", shared)
+    monkeypatch.setattr(verify, "sample_velocities_direct", single)
     monkeypatch.setattr(verify, "sample_velocities_representation",
                         lambda config: SimpleNamespace(values=np.linspace(-1.0, 1.0, 40)))
     verify.rigid_samples(11)
     verify._route_equivalence(11, (300, 7000))
     workers = {"workers": cores}
-    assert calls == [(1, 2000, workers), (2, 2000, workers), (5, 2000, workers),
-                     (10, 2000, workers), (2, 300, workers)]
+    assert calls == [((1, 2, 5, 10), 2000, workers), (2, 300, workers)]
+
+
+def _pf_config(n, window, m=3, realizations=1, seed=0):
+    return statistics.EnsembleConfig(
+        n_levels=n, n_channels=m, realizations=realizations, central_window=window,
+        seed=seed, model=statistics.SpectrumModel.picket_fence(), route="direct",
+    )
+
+
+def test_rigid_second_moment_is_the_finite_n_value():
+    # at M=3 the exact E[y^2] is the finite-N factor on M/3 itself
+    assert verify._rigid_second_moment(_pf_config(250, 25)) == pytest.approx(0.991156, abs=5e-7)
+    assert verify._rigid_second_moment(_pf_config(12, 4)) == pytest.approx(0.826370, abs=5e-7)
+    assert verify._rigid_second_moment(_pf_config(250, 25, m=10)) == pytest.approx(
+        10 / 3 * 0.991156, abs=2e-6)
+    factors = [verify._rigid_second_moment(_pf_config(n, 25)) for n in (250, 1000, 4000)]
+    assert factors == sorted(factors) and 1.0 - factors[-1] < 6e-4
+
+
+def test_rigid_variance_judged_at_finite_n():
+    # at N=12 the exact second moment sits 17% below M/3, 10 to 23 standard
+    # errors at this size; the check must centre on the exact value
+    sets = statistics._sample_direct(_pf_config(12, 4, realizations=20_000, seed=31),
+                                     (1, 2, 5), workers=1)
+    result = verify.CHECKS["rigid_variance_monte_carlo"].run(sets)
+    assert result.passed, result.detail
+    assert "E[y^2]=0.27546" in result.detail
 
 
 def test_rigid_checks_carry_the_draw_runtime(draws, monkeypatch):
