@@ -24,11 +24,9 @@ from .perturbation import (
 )
 from .spectral import (
     BiorthogonalSystem,
-    ComplexResonance,
     EffectiveHamiltonian,
     NonorthogonalityMatrix,
     bell_steinberger,
-    build_effective_hamiltonian,
     diagonalize,
     match_resonances,
 )
@@ -44,7 +42,6 @@ from .statistics import (
     phi_pf,
     phi_pf_cdf,
     picket_fence_spectrum,
-    porter_thomas_pdf,
     sample_couplings,
     sample_goe,
     sample_velocities_direct,
@@ -77,10 +74,8 @@ __all__ = [
     "__version__",
     # spectral
     "EffectiveHamiltonian",
-    "ComplexResonance",
     "BiorthogonalSystem",
     "NonorthogonalityMatrix",
-    "build_effective_hamiltonian",
     "diagonalize",
     "bell_steinberger",
     "match_resonances",
@@ -115,7 +110,6 @@ __all__ = [
     "sample_goe",
     "picket_fence_spectrum",
     "sample_couplings",
-    "porter_thomas_pdf",
     "phi_goe",
     "phi_pf",
     "phi_goe_cdf",

@@ -101,7 +101,7 @@ def _emit_table(output, config, seed, columns, rows, extra_comments=()):
 
 
 def _emit_json(output, payload: dict):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(_plain(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
     if output is None:
         click.echo(text, nl=False)
     else:
@@ -113,10 +113,15 @@ def _complex_json(z: complex) -> dict:
 
 
 def _plain(x):
-    """A check's value or tolerance as JSON: tuples as lists, numpy scalars as Python."""
+    """Strict JSON data: tuples as lists, numpy scalars as Python, and
+    non-finite floats as null, since RFC 8259 has no NaN or Infinity."""
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
     if isinstance(x, (tuple, list)):
         return [_plain(v) for v in x]
-    return x.item() if isinstance(x, np.generic) else x
+    if isinstance(x, np.generic):
+        x = x.item()
+    return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
 def _masked_pdf(points: np.ndarray, m: int, kind: str):
@@ -150,16 +155,20 @@ def _load_config_file(ctx: click.Context, config_path: str | None):
         raise click.UsageError(f"cannot read config file: {exc}")
     if not isinstance(data, dict):
         raise click.UsageError("config file must hold a JSON object")
-    allowed = {p.name for p in ctx.command.params} - {"config"}
-    unknown = set(data) - allowed
+    params = {p.name: p for p in ctx.command.params if p.name != "config"}
+    unknown = set(data) - set(params)
     if unknown:
         raise click.UsageError(
             f"unknown config keys: {', '.join(sorted(unknown))} "
-            f"(allowed: {', '.join(sorted(allowed))})"
+            f"(allowed: {', '.join(sorted(params))})"
         )
     for key, value in data.items():
         if ctx.get_parameter_source(key) != click.core.ParameterSource.COMMANDLINE:
-            ctx.params[key] = value
+            # the flag's own conversion and choice check
+            try:
+                ctx.params[key] = params[key].type_cast_value(ctx, value)
+            except click.BadParameter as exc:
+                raise click.ClickException(f"config file: {exc.format_message()}")
 
 
 def _require(ctx: click.Context, *names: str):
@@ -280,6 +289,8 @@ def cmd_critical_points(ctx, delta, d, v, gamma1, gamma2, theta,
     _require(ctx, *_TWO_LEVEL_NAMES, "bracket_min", "bracket_max")
     p = ctx.params
     params = _build_two_level(p["delta"], p["d"], p["v"], p["gamma1"], p["gamma2"], p["theta"])
+    if p["scan_points"] < 3:
+        raise click.ClickException(f"scan-points must be >= 3, got {p['scan_points']}")
     bracket = (p["bracket_min"], p["bracket_max"])
     try:
         alpha_circ = find_alpha_circ(params, bracket, scan_points=p["scan_points"])
@@ -361,6 +372,10 @@ def cmd_ensemble(ctx, model, n_levels, n_channels, realizations, window, route, 
     except ValueError as exc:
         raise click.UsageError(str(exc))
     _check_channel_count(cfg.n_channels)
+    if p["bins"] < 1:
+        raise click.ClickException(f"bins must be >= 1, got {p['bins']}")
+    if p["range_max"] is not None and not 0.0 < p["range_max"] < math.inf:
+        raise click.ClickException(f"range-max must be positive and finite, got {p['range_max']}")
 
     # a GOE direct-route realization holds up to about seven n x n matrices
     # at once (measured 5.3-6.8 per worker at n=1200; a picket-fence one about
@@ -492,7 +507,7 @@ def cmd_verify(level, seed, output):
                 "runtime": next((c.runtime for c in results if c.runtime), None),
                 "checks": [
                     {"name": c.name, "passed": bool(c.passed), "detail": c.detail,
-                     "value": _plain(c.value), "tolerance": _plain(c.tolerance),
+                     "value": c.value, "tolerance": c.tolerance,
                      "seconds": c.seconds}
                     for c in results
                 ],

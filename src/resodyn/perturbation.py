@@ -40,15 +40,10 @@ DENOMINATOR_REL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class InteriorPerturbation:
-    """A real symmetric perturbation matrix V with strength alpha.
-
-    Setting ``traceless=True`` asserts |Tr V| <= 1e-12 ||V||, which removes
-    the rigid overall energy shift alpha Tr(V) / N.
-    """
+    """A real symmetric perturbation matrix V with strength alpha."""
 
     v_matrix: np.ndarray
     strength: float = 0.0
-    traceless: bool = False
 
     def __post_init__(self):
         v = np.asarray(self.v_matrix, dtype=float)
@@ -59,8 +54,6 @@ class InteriorPerturbation:
         norm = np.linalg.norm(v)
         if np.abs(v - v.T).max() > SYMMETRY_TOL * max(norm, 1.0):
             raise ValueError("v_matrix is not symmetric within tolerance")
-        if self.traceless and abs(np.trace(v)) > SYMMETRY_TOL * max(norm, 1.0):
-            raise ValueError("v_matrix marked traceless but has a nonzero trace")
         out = np.array(0.5 * (v + v.T))
         out.flags.writeable = False
         object.__setattr__(self, "v_matrix", out)
@@ -212,8 +205,8 @@ def finite_difference_velocities(
     with warnings.catch_warnings():
         warnings.simplefilter("error", MatchingAmbiguityWarning)
         try:
-            p_plus = match_resonances(base, plus)
-            p_minus = match_resonances(base, minus)
+            p_plus = match_resonances(base.values, plus.values)
+            p_minus = match_resonances(base.values, minus.values)
         except MatchingAmbiguityWarning as exc:
             raise MatchingError(
                 "ambiguous resonance tracking across the stencil (avoided "

@@ -20,18 +20,14 @@ from .errors import ExceptionalPointError, MatchingAmbiguityWarning
 
 __all__ = [
     "EffectiveHamiltonian",
-    "ComplexResonance",
     "BiorthogonalSystem",
     "NonorthogonalityMatrix",
-    "build_effective_hamiltonian",
     "diagonalize",
     "bell_steinberger",
     "match_resonances",
 ]
 
 SYMMETRY_TOL = 1e-12
-BIORTHOGONALITY_TOL = 1e-10
-COMPLETENESS_TOL = 1e-8
 SELF_ORTHOGONALITY_TOL = 1e-10
 DEGENERACY_REL_TOL = 1e-10
 MATCH_AMBIGUITY_TOL = 1e-12
@@ -99,48 +95,36 @@ class EffectiveHamiltonian:
         return self.hermitian_part - 0.5j * self.decay_gram
 
 
-def build_effective_hamiltonian(h: np.ndarray, a: np.ndarray) -> EffectiveHamiltonian:
-    """Validate and assemble an :class:`EffectiveHamiltonian` from H and A."""
-    return EffectiveHamiltonian(hermitian_part=h, coupling=a)
-
-
-@dataclass(frozen=True)
-class ComplexResonance:
-    """A single resonance: energy E, width Gamma, complex value E - (i/2) Gamma."""
-
-    energy: float
-    width: float
-
-    @property
-    def value(self) -> complex:
-        return complex(self.energy, -0.5 * self.width)
-
-
 @dataclass(frozen=True)
 class BiorthogonalSystem:
     """Resonances with biorthogonally normalized right/left eigenvector pairs.
 
-    ``right_vectors[:, n]`` is the right eigenvector of resonance n.  The
-    stored matrix is normalized so that the *unconjugated* bilinear form
-    ``R_n^T R_n = 1``; for a complex-symmetric matrix the left row vector is
-    then exactly the transpose ``<L_n| = R_n^T``, which makes
-    ``<L_n|R_m> = delta_nm`` automatic.
+    ``values[n] = E_n - (i/2) Gamma_n`` is resonance n and
+    ``right_vectors[:, n]`` its right eigenvector.  The stored matrix is
+    normalized so that the *unconjugated* bilinear form ``R_n^T R_n = 1``;
+    for a complex-symmetric matrix the left row vector is then exactly the
+    transpose ``<L_n| = R_n^T``, which makes ``<L_n|R_m> = delta_nm``
+    automatic.
     """
 
-    resonances: tuple[ComplexResonance, ...]
+    values: np.ndarray
     right_vectors: np.ndarray
 
     def __post_init__(self):
+        z = np.asarray(self.values, dtype=complex)
         v = np.asarray(self.right_vectors, dtype=complex)
-        n = len(self.resonances)
-        if v.shape != (n, n):
-            raise ValueError(f"expected ({n}, {n}) eigenvector matrix, got {v.shape}")
+        n = z.size
+        if z.shape != (n,) or v.shape != (n, n):
+            raise ValueError(
+                f"expected {n} values and an ({n}, {n}) eigenvector matrix, "
+                f"got shapes {z.shape} and {v.shape}"
+            )
+        object.__setattr__(self, "values", _frozen_copy(z))
         object.__setattr__(self, "right_vectors", _frozen_copy(v))
-        object.__setattr__(self, "resonances", tuple(self.resonances))
 
     @property
     def dim(self) -> int:
-        return len(self.resonances)
+        return self.values.size
 
     @property
     def left_vectors(self) -> np.ndarray:
@@ -148,16 +132,12 @@ class BiorthogonalSystem:
         return self.right_vectors.T
 
     @property
-    def values(self) -> np.ndarray:
-        return np.array([r.value for r in self.resonances])
-
-    @property
     def energies(self) -> np.ndarray:
-        return np.array([r.energy for r in self.resonances])
+        return self.values.real
 
     @property
     def widths(self) -> np.ndarray:
-        return np.array([r.width for r in self.resonances])
+        return -2.0 * self.values.imag
 
     def validate(self) -> dict:
         """Return the biorthogonality and completeness defects.
@@ -273,11 +253,7 @@ def diagonalize(
         )
 
     order = np.lexsort((widths, energies))
-    resonances = tuple(
-        ComplexResonance(energy=float(energies[k]), width=float(widths[k]))
-        for k in order
-    )
-    return BiorthogonalSystem(resonances=resonances, right_vectors=vectors[:, order])
+    return BiorthogonalSystem(values=values[order], right_vectors=vectors[:, order])
 
 
 def bell_steinberger(sys: BiorthogonalSystem) -> NonorthogonalityMatrix:
@@ -295,47 +271,26 @@ def bell_steinberger(sys: BiorthogonalSystem) -> NonorthogonalityMatrix:
     return NonorthogonalityMatrix(u=u, hermiticity_defect=defect)
 
 
-def _eigenvalue_array(system) -> np.ndarray:
-    if isinstance(system, BiorthogonalSystem):
-        return system.values
-    return np.asarray(system, dtype=complex)
+def match_resonances(previous: np.ndarray, current: np.ndarray) -> np.ndarray:
+    """Match two resonance spectra by minimum total complex-plane distance.
 
-
-def match_resonances(previous, current) -> np.ndarray:
-    """Match resonances of two systems by complex-plane proximity.
-
-    Returns the permutation ``perm`` such that resonance ``perm[i]`` of
-    `current` continues resonance ``i`` of `previous`.  Matching is greedy
-    nearest-neighbor; rows whose greedy choices collide are re-solved by a
-    minimum-cost assignment over the contested subset.  When two complete
-    assignments differ in total cost by less than 1e-12, a
-    :class:`MatchingAmbiguityWarning` is attached and ties break by index
-    order.
-
-    Both arguments may be :class:`BiorthogonalSystem` instances or plain
-    arrays of complex eigenvalues.
+    `previous` and `current` are arrays of complex eigenvalues, such as the
+    ``values`` of two :class:`BiorthogonalSystem` instances.  Returns the
+    permutation ``perm`` such that resonance ``perm[i]`` of `current`
+    continues resonance ``i`` of `previous`, chosen to minimize
+    ``sum_i |previous[i] - current[perm[i]]|``.  When swapping the partners
+    of two resonances changes that total by less than 1e-12, a
+    :class:`MatchingAmbiguityWarning` is issued.
     """
-    prev = _eigenvalue_array(previous)
-    cur = _eigenvalue_array(current)
+    prev = np.asarray(previous, dtype=complex)
+    cur = np.asarray(current, dtype=complex)
     if prev.shape != cur.shape:
         raise ValueError(f"dimension mismatch: {prev.shape} vs {cur.shape}")
     n = prev.size
     dist = np.abs(prev[:, None] - cur[None, :])
+    from scipy.optimize import linear_sum_assignment  # keeps it off the CLI import
 
-    greedy = np.argmin(dist, axis=1)
-    perm = np.empty(n, dtype=int)
-    counts = np.bincount(greedy, minlength=n)
-    if (counts <= 1).all():
-        perm[:] = greedy
-    else:
-        conflicted = counts[greedy] > 1
-        perm[~conflicted] = greedy[~conflicted]
-        free_cols = np.flatnonzero(~np.isin(np.arange(n), greedy[~conflicted]))
-        rows = np.flatnonzero(conflicted)
-        from scipy.optimize import linear_sum_assignment  # keeps it off the CLI import
-
-        sub_rows, sub_cols = linear_sum_assignment(dist[np.ix_(rows, free_cols)])
-        perm[rows[sub_rows]] = free_cols[sub_cols]
+    perm = linear_sum_assignment(dist)[1]
 
     # near-degenerate total cost under any pair swap -> ambiguous labeling
     if n > 1:
@@ -346,7 +301,7 @@ def match_resonances(previous, current) -> np.ndarray:
         if np.abs(delta).min() < MATCH_AMBIGUITY_TOL:
             warnings.warn(
                 "ambiguous resonance matching: an alternative assignment has "
-                "nearly identical total cost; keeping index-order tie-break",
+                "nearly identical total cost",
                 MatchingAmbiguityWarning,
                 stacklevel=2,
             )

@@ -46,7 +46,6 @@ __all__ = [
     "sample_goe",
     "picket_fence_spectrum",
     "sample_couplings",
-    "porter_thomas_pdf",
     "phi_goe",
     "phi_pf",
     "phi_goe_cdf",
@@ -266,22 +265,6 @@ def sample_couplings(
     a = rng.standard_normal((n, m))
     a *= math.sqrt(gamma_bar)
     return a
-
-
-def porter_thomas_pdf(kappa, m: int):
-    """Porter-Thomas density of the rescaled width ``kappa = Gamma / gamma_bar``.
-
-    ``kappa^(m/2-1) exp(-kappa/2) / (2^(m/2) Gamma(m/2))`` -- a chi-square
-    density with `m` degrees of freedom (mean m, variance 2m).
-    """
-    if m < 1:
-        raise ValueError("channel count m must be >= 1")
-    k = np.asarray(kappa, dtype=float)
-    if (k <= 0).any():
-        raise ValueError("kappa must be positive")
-    log_pdf = (0.5 * m - 1.0) * np.log(k) - 0.5 * k - 0.5 * m * math.log(2.0) - gammaln(0.5 * m)
-    out = np.exp(log_pdf)
-    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------

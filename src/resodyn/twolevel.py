@@ -323,7 +323,7 @@ class SweepResult:
     (both are invariant under f -> 1/f up to the label sign).  Rows within
     tolerance of an exceptional point keep their (confluent) energies and
     widths but carry NaN mixing/velocity/U entries and are listed in
-    ``exceptional_rows``; ``segments`` gives the index ranges between them.
+    ``exceptional_rows``.
     """
 
     alpha: np.ndarray
@@ -341,16 +341,6 @@ class SweepResult:
     exceptional_rows: np.ndarray
 
     columns = SWEEP_COLUMNS
-
-    @property
-    def segments(self) -> list[tuple[int, int]]:
-        """Half-open index ranges of EP-free trajectory stretches."""
-        cuts = [-1, *self.exceptional_rows.tolist(), self.alpha.size]
-        out = []
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            if b - a > 1:
-                out.append((a + 1, b))
-        return out
 
     def as_array(self) -> np.ndarray:
         """The table as a float array with columns :data:`SWEEP_COLUMNS`."""

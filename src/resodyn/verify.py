@@ -31,7 +31,7 @@ from .perturbation import (
     weak_coupling_width_velocity,
     width_shift_from_U,
 )
-from .spectral import bell_steinberger, build_effective_hamiltonian, diagonalize
+from .spectral import EffectiveHamiltonian, bell_steinberger, diagonalize
 from .statistics import (
     EnsembleConfig,
     SpectrumModel,
@@ -143,7 +143,7 @@ def random_open_system(rng: np.random.Generator, n: int, m: int = 3,
     while True:
         h = sample_goe(n, rng)
         a = sample_couplings(n, m, gamma_bar, rng)
-        heff = build_effective_hamiltonian(h, a)
+        heff = EffectiveHamiltonian(h, a)
         values = np.linalg.eigvals(heff.matrix)
         sep = np.abs(values[:, None] - values[None, :])
         np.fill_diagonal(sep, np.inf)
@@ -323,7 +323,7 @@ def _weak_coupling(source, trials):
         a = sample_couplings(n, 2, 1e-3, rng)
         x = rng.standard_normal((n, n))
         v = 0.5 * (x + x.T)
-        heff = build_effective_hamiltonian(h, a)
+        heff = EffectiveHamiltonian(h, a)
         pert = InteriorPerturbation(v_matrix=v, strength=0.0)
         _, fd = finite_difference_velocities(heff, pert)
         formula = np.array(

@@ -25,6 +25,10 @@ def runner():
     return CliRunner()
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
 def read_csv(path):
     comments, header, rows = [], None, []
     with open(path) as handle:
@@ -87,6 +91,22 @@ class TestSweepCommand:
         assert len(payload["rows"]) == 3
         assert payload["rows"][0]["alpha"] == 0.0
 
+    def test_json_rows_are_strict_json_at_an_exceptional_point(self, runner):
+        # eps = nu at alpha = 0, so the first row's mixing, velocities and U
+        # are undefined; RFC 8259 has no NaN token, so they are written null
+        result = runner.invoke(
+            main,
+            ["two-level", "sweep", "--delta", "0.5", "--d", "0", "--v", "0.1",
+             "--gamma1", "0.5", "--gamma2", "0.5", "--theta", "0",
+             "--alpha-min", "0", "--alpha-max", "1", "--steps", "3", "--format", "json"],
+        )
+        assert result.exit_code == 0
+        rows = json.loads(result.output, parse_constant=_reject_constant)["rows"]
+        assert [k for k, v in rows[0].items() if v is None] == [
+            "Im_f", "Re_f", "U11_re", "U12_im", "dE1", "dGamma1"]
+        assert rows[0]["Gamma1"] == 0.5 and rows[0]["ep_distance"] == 0.0
+        assert None not in rows[1].values()
+
     def test_invalid_params_exit_one(self, runner):
         result = runner.invoke(
             main,
@@ -116,6 +136,16 @@ class TestSweepCommand:
         assert result.exit_code == 0
         _, _, rows = read_csv(out)
         assert rows.shape[0] == 7  # explicit flag beats the config value
+
+    def test_config_string_converts_like_the_flag(self, runner, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"alpha_min": "-1", "alpha_max": 1, "steps": "5"}))
+        flags = ["two-level", "sweep", *FIG_ARGS]
+        from_config = runner.invoke(main, [*flags, "--config", str(config)])
+        from_flags = runner.invoke(
+            main, [*flags, "--alpha-min", "-1", "--alpha-max", "1", "--steps", "5"])
+        assert from_config.exit_code == from_flags.exit_code == 0
+        assert from_config.output == from_flags.output
 
     def test_unknown_config_key_rejected(self, runner, tmp_path):
         config = tmp_path / "bad.json"
@@ -273,6 +303,20 @@ class TestEnsembleCommand:
         assert runtime["workers"] == 1
         assert runtime["reason"] == "representation route is serial"
 
+    def test_config_bins_refused_before_sampling(self, runner, tmp_path, monkeypatch):
+        sampled = []
+        monkeypatch.setattr(cli, "sample_velocities_direct", lambda *a, **k: sampled.append(k))
+        path = tmp_path / "ensemble.json"
+        path.write_text(json.dumps({"bins": 0}))
+        result = runner.invoke(
+            main,
+            ["ensemble", "--model", "goe", "--n", "20", "--m", "2", "--realizations", "2",
+             "--window", "5", "--seed", "1", "--config", str(path)],
+        )
+        assert result.exit_code == 1
+        assert result.output.splitlines() == ["Error: bins must be >= 1, got 0"]
+        assert sampled == []
+
     def test_channel_count_refused_before_sampling(self, runner, monkeypatch):
         sampled = []
         monkeypatch.setattr(cli, "sample_velocities_direct", lambda *a, **k: sampled.append(k))
@@ -287,6 +331,28 @@ class TestEnsembleCommand:
 
 
 class TestDistCommand:
+    @pytest.mark.parametrize("config, error", [
+        ({"model": "banana", "n_channels": 2},
+         "Error: config file: Invalid value for '--model': 'banana' is not one of "
+         "'goe', 'picket-fence', 'pf'."),
+        ({"model": "goe", "n_channels": "two"},
+         "Error: config file: Invalid value for '--m': 'two' is not a valid integer."),
+    ], ids=["choice", "integer"])
+    def test_config_value_gets_the_flag_check(self, runner, tmp_path, config, error):
+        path = tmp_path / "dist.json"
+        path.write_text(json.dumps(config))
+        result = runner.invoke(main, ["dist", "--config", str(path), "--y", "1"])
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [error]
+
+    def test_config_string_channel_count_converts(self, runner, tmp_path):
+        path = tmp_path / "dist.json"
+        path.write_text(json.dumps({"model": "goe", "n_channels": "2"}))
+        from_config = runner.invoke(main, ["dist", "--config", str(path), "--steps", "5"])
+        from_flags = runner.invoke(main, ["dist", "--model", "goe", "--m", "2", "--steps", "5"])
+        assert from_config.exit_code == from_flags.exit_code == 0
+        assert from_config.output == from_flags.output
+
     def test_rigid_kernel_at_zero(self, runner):
         result = runner.invoke(main, ["dist", "--model", "pf", "--m", "1", "--y", "0"])
         assert result.exit_code == 0
@@ -370,6 +436,15 @@ class TestVerifyCommand:
         assert with_report.output == plain.output
         assert json.loads(out.read_text())["runtime"] == drawn
 
+    def test_report_writes_a_non_finite_value_as_null(self, runner, tmp_path, monkeypatch):
+        results = [CheckResult("kernel_spot_values", False, "nan", value=float("nan"),
+                               tolerance=(1.0, math.inf))]
+        monkeypatch.setattr(cli, "run_checks", lambda level, seed: results)
+        out = tmp_path / "report.json"
+        assert runner.invoke(main, ["verify", "fast", "-o", str(out)]).exit_code == 3
+        check = json.loads(out.read_text(), parse_constant=_reject_constant)["checks"][0]
+        assert check["value"] is None and check["tolerance"] == [1.0, None]
+
 
 # scipy modules that only some commands use, loaded on first use
 _DEFERRED_SCIPY = ("scipy.optimize", "scipy.integrate", "scipy.linalg", "scipy.stats")
@@ -431,3 +506,26 @@ def test_channel_count_limit(args, tmp_path):
     assert refused.returncode == 1
     assert "Traceback" not in refused.stdout + refused.stderr
     assert refused.stderr.splitlines() == ["Error: m must be at most 5000, got 5001"]
+
+
+_ENSEMBLE_ARGS = ["ensemble", "--model", "goe", "--n", "20", "--m", "2",
+                  "--realizations", "2", "--window", "5", "--seed", "1"]
+
+
+@pytest.mark.parametrize("args, error", [
+    ([*_ENSEMBLE_ARGS, "--bins", "0"], "Error: bins must be >= 1, got 0"),
+    ([*_ENSEMBLE_ARGS, "--range-max", "-1"],
+     "Error: range-max must be positive and finite, got -1.0"),
+    (["two-level", "critical-points", *FIG_ARGS, "--bracket-min", "-2",
+      "--bracket-max", "2", "--scan-points", "-1"],
+     "Error: scan-points must be >= 3, got -1"),
+], ids=["bins", "range-max", "scan-points"])
+def test_out_of_range_option(args, error, tmp_path):
+    # refused on one line as a usage error, not a numpy traceback or a
+    # numerical failure (exit 2)
+    refused = subprocess.run(
+        [sys.executable, "-m", "resodyn.cli", *args, "-o", str(tmp_path / "out")],
+        env=_fresh_env(), capture_output=True, text=True, timeout=120)
+    assert refused.returncode == 1
+    assert "Traceback" not in refused.stdout + refused.stderr
+    assert refused.stderr.splitlines() == [error]

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from resodyn import (
+    EffectiveHamiltonian,
     InteriorPerturbation,
     SmallDenominatorError,
     bell_steinberger,
-    build_effective_hamiltonian,
     decay_vectors,
     diagonalize,
     finite_difference_velocities,
@@ -22,7 +22,7 @@ from resodyn import (
 
 
 def open_system(rng, n, m=3, gamma_bar=0.05):
-    return build_effective_hamiltonian(
+    return EffectiveHamiltonian(
         sample_goe(n, rng), sample_couplings(n, m, gamma_bar, rng)
     )
 
@@ -37,11 +37,6 @@ class TestInteriorPerturbation:
         with pytest.raises(ValueError, match="symmetric"):
             InteriorPerturbation(v_matrix=[[0.0, 1.0], [0.0, 0.0]])
 
-    def test_traceless_flag_enforced(self):
-        with pytest.raises(ValueError, match="traceless"):
-            InteriorPerturbation(v_matrix=np.eye(2), traceless=True)
-        InteriorPerturbation(v_matrix=[[1.0, 0.3], [0.3, -1.0]], traceless=True)
-
 
 class TestFirstOrderShift:
     def test_identity_perturbation_shifts_by_alpha(self, rng):
@@ -54,7 +49,7 @@ class TestFirstOrderShift:
 
     def test_hermitian_limit_has_real_shifts(self, rng):
         h = symmetric(rng, 5)
-        sys = diagonalize(build_effective_hamiltonian(h, np.zeros((5, 1))))
+        sys = diagonalize(EffectiveHamiltonian(h, np.zeros((5, 1))))
         pert = InteriorPerturbation(v_matrix=symmetric(rng, 5), strength=0.8)
         for n in range(5):
             assert abs(first_order_shift(sys, pert, n).delta_value.imag) <= 1e-12
@@ -62,7 +57,7 @@ class TestFirstOrderShift:
     def test_matches_two_level_closed_forms(self, reference_params):
         p = reference_params
         sys = diagonalize(two_level_system(p))
-        pert = InteriorPerturbation(v_matrix=p.v_matrix, strength=1.0, traceless=True)
+        pert = InteriorPerturbation(v_matrix=p.v_matrix, strength=1.0)
         f = mixing_state(p).f
         expected = {
             round(energy_velocity(f, p.d, p.v)[0], 6): width_velocity(f, p.d, p.v)[0],
@@ -90,7 +85,7 @@ class TestFirstOrderShift:
 class TestWidthShiftFromU:
     def test_orthogonal_states_give_zero(self, rng):
         h = symmetric(rng, 5)
-        sys = diagonalize(build_effective_hamiltonian(h, np.zeros((5, 1))))
+        sys = diagonalize(EffectiveHamiltonian(h, np.zeros((5, 1))))
         u = bell_steinberger(sys)
         pert = InteriorPerturbation(v_matrix=symmetric(rng, 5), strength=0.9)
         for n in range(5):
@@ -156,7 +151,7 @@ class TestWeakCoupling:
                 break
         a = sample_couplings(n, 2, 1e-3, rng)
         v = symmetric(rng, n)
-        heff = build_effective_hamiltonian(h, a)
+        heff = EffectiveHamiltonian(h, a)
         pert = InteriorPerturbation(v_matrix=v, strength=0.0)
         _, fd = finite_difference_velocities(heff, pert)
         formula = np.array(
@@ -185,7 +180,7 @@ class TestFiniteDifference:
     def test_reference_two_level_closed_forms(self, reference_params):
         p = reference_params
         heff = two_level_system(p)
-        pert = InteriorPerturbation(v_matrix=p.v_matrix, strength=0.0, traceless=True)
+        pert = InteriorPerturbation(v_matrix=p.v_matrix, strength=0.0)
         f = mixing_state(p).f
         gdot_exact = width_velocity(f, p.d, p.v)[0]
         edot_exact = energy_velocity(f, p.d, p.v)[0]

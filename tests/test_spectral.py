@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from resodyn import (
-    ComplexResonance,
+    EffectiveHamiltonian,
     ExceptionalPointError,
     MatchingAmbiguityWarning,
     bell_steinberger,
-    build_effective_hamiltonian,
     decay_vectors,
     diagonalize,
     match_resonances,
@@ -26,12 +25,12 @@ U_OFFDIAG_REF = 0.5405570271100004
 def random_system(rng, n, m=3, gamma_bar=0.05):
     h = sample_goe(n, rng)
     a = sample_couplings(n, m, gamma_bar, rng)
-    return build_effective_hamiltonian(h, a)
+    return EffectiveHamiltonian(h, a)
 
 
 class TestEffectiveHamiltonian:
     def test_zero_case(self):
-        heff = build_effective_hamiltonian(np.zeros((2, 2)), np.zeros((2, 1)))
+        heff = EffectiveHamiltonian(np.zeros((2, 2)), np.zeros((2, 1)))
         assert np.all(heff.matrix == 0)
         assert heff.dim_levels == 2 and heff.dim_channels == 1
 
@@ -39,7 +38,7 @@ class TestEffectiveHamiltonian:
         p = reference_params
         h = np.diag([p.delta / 2, -p.delta / 2])
         a = decay_vectors(p.gamma1, p.gamma2, p.theta)
-        heff = build_effective_hamiltonian(h, a)
+        heff = EffectiveHamiltonian(h, a)
         np.testing.assert_allclose(heff.matrix, two_level_hamiltonian(p), atol=1e-14)
 
     def test_decay_gram_is_psd(self, rng):
@@ -58,22 +57,16 @@ class TestEffectiveHamiltonian:
     def test_rejects_non_symmetric(self):
         h = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="symmetric"):
-            build_effective_hamiltonian(h, np.zeros((2, 1)))
+            EffectiveHamiltonian(h, np.zeros((2, 1)))
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            build_effective_hamiltonian(np.zeros((2, 2)), np.zeros((3, 1)))
+            EffectiveHamiltonian(np.zeros((2, 2)), np.zeros((3, 1)))
 
     def test_stored_matrices_are_immutable(self, rng):
         heff = random_system(rng, 4)
         with pytest.raises(ValueError):
             heff.hermitian_part[0, 0] = 1.0
-
-
-class TestComplexResonance:
-    def test_value_identity_is_exact(self):
-        res = ComplexResonance(energy=0.7531, width=0.1377)
-        assert res.value == complex(0.7531, -0.5 * 0.1377)
 
 
 class TestDiagonalize:
@@ -85,7 +78,7 @@ class TestDiagonalize:
 
     def test_hermitian_limit(self):
         h = np.diag([-1.0, 0.0, 1.0])
-        sys = diagonalize(build_effective_hamiltonian(h, np.zeros((3, 1))))
+        sys = diagonalize(EffectiveHamiltonian(h, np.zeros((3, 1))))
         np.testing.assert_allclose(sys.widths, 0.0, atol=1e-12)
         np.testing.assert_allclose(bell_steinberger(sys).u, np.eye(3), atol=1e-12)
 
@@ -94,6 +87,16 @@ class TestDiagonalize:
         defects = sys.validate()
         assert defects["biorthogonality"] <= 1e-10
         assert defects["completeness"] <= 1e-8
+
+    def test_values_are_the_eigensolver_values_in_lexsorted_order(self, rng):
+        heff = random_system(rng, 8)
+        sys = diagonalize(heff)
+        raw = np.linalg.eig(heff.matrix)[0]
+        order = np.lexsort((-2.0 * raw.imag, raw.real))
+        np.testing.assert_array_equal(sys.values, raw[order])
+        np.testing.assert_array_equal(sys.energies, sys.values.real)
+        np.testing.assert_array_equal(sys.widths, -2.0 * sys.values.imag)
+        assert not sys.values.flags.writeable
 
     def test_sorted_by_energy_then_width(self, rng):
         sys = diagonalize(random_system(rng, 8))
@@ -115,7 +118,7 @@ class TestDiagonalize:
 
     def test_degenerate_spectrum_raises(self):
         h = np.diag([1.0, 1.0])
-        heff = build_effective_hamiltonian(h, np.zeros((2, 1)))
+        heff = EffectiveHamiltonian(h, np.zeros((2, 1)))
         with pytest.raises(ExceptionalPointError, match="exceptional-point proximity"):
             diagonalize(heff)
 
@@ -127,7 +130,7 @@ class TestDiagonalize:
         ms = mixing_state(p)
         h = np.diag([ms.nu.real / 2, -ms.nu.real / 2])
         a = decay_vectors(p.gamma1, p.gamma2, p.theta)
-        heff = build_effective_hamiltonian(h, a)
+        heff = EffectiveHamiltonian(h, a)
         with pytest.raises(ExceptionalPointError, match="exceptional-point proximity"):
             diagonalize(heff, degeneracy_tol=1e-5)
 
@@ -141,7 +144,7 @@ class TestDiagonalize:
 class TestBellSteinberger:
     def test_orthogonal_states_give_identity(self):
         h = np.diag([-1.0, 0.5, 2.0])
-        sys = diagonalize(build_effective_hamiltonian(h, np.zeros((3, 2))))
+        sys = diagonalize(EffectiveHamiltonian(h, np.zeros((3, 2))))
         u = bell_steinberger(sys)
         np.testing.assert_allclose(u.u, np.eye(3), atol=1e-12)
         assert u.hermiticity_defect <= 1e-12
@@ -170,7 +173,7 @@ class TestBellSteinberger:
 class TestMatchResonances:
     def test_identity(self, rng):
         sys = diagonalize(random_system(rng, 6))
-        np.testing.assert_array_equal(match_resonances(sys, sys), np.arange(6))
+        np.testing.assert_array_equal(match_resonances(sys.values, sys.values), np.arange(6))
 
     def test_transposition(self):
         prev = np.array([0.0 + 0.0j, 1.0 - 0.5j, 2.0 - 0.1j])
@@ -183,7 +186,7 @@ class TestMatchResonances:
         for alpha in np.linspace(0.0, 0.05, 6)[1:]:
             p = with_alpha(reference_params, alpha)
             cur = diagonalize(two_level_system(p))
-            np.testing.assert_array_equal(match_resonances(prev, cur), [0, 1])
+            np.testing.assert_array_equal(match_resonances(prev.values, cur.values), [0, 1])
             prev = cur
 
     def test_conflict_resolution_minimizes_cost(self):
@@ -191,6 +194,28 @@ class TestMatchResonances:
         cur = np.array([0.25 + 0j, 0.9 + 0j])
         # both rows prefer column 0; the global assignment resolves it
         np.testing.assert_array_equal(match_resonances(prev, cur), [0, 1])
+
+    def test_minimum_total_distance_beats_nearest_neighbour(self):
+        # row 1 and row 2 both lie nearest to 2.2; the optimal total is 2.2,
+        # against 3.8 for sending row 1 to 4
+        prev = np.array([0.0, 1.0, 3.0], dtype=complex)
+        cur = np.array([0.0, 2.2, 4.0], dtype=complex)
+        np.testing.assert_array_equal(match_resonances(prev, cur), [0, 1, 2])
+
+    def test_total_distance_is_the_assignment_optimum(self):
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(2404)
+        for _ in range(300):
+            n = int(rng.integers(2, 7))
+            prev, cur = (rng.uniform(0, 3, n) - 0.5j * rng.uniform(0, 0.3, n)
+                         for _ in range(2))
+            dist = np.abs(prev[:, None] - cur[None, :])
+            perm = match_resonances(prev, cur)
+            np.testing.assert_array_equal(np.sort(perm), np.arange(n))
+            rows, cols = linear_sum_assignment(dist)
+            best = dist[rows, cols].sum()
+            assert dist[np.arange(n), perm].sum() <= best + 1e-12
 
     def test_ambiguous_matching_warns(self):
         prev = np.array([0.0 + 0j, 2.0 + 0j])

@@ -22,7 +22,6 @@ from resodyn import (
     phi_pf,
     phi_pf_cdf,
     picket_fence_spectrum,
-    porter_thomas_pdf,
     sample_couplings,
     sample_goe,
     sample_velocities_direct,
@@ -153,30 +152,6 @@ class TestEnsembles:
         a = sample_couplings(100000, m, gamma_bar, rng)
         kappa = (a**2).sum(axis=1) / gamma_bar
         assert kstest(kappa, chi2_dist(df=m).cdf).pvalue >= 0.01
-
-
-class TestPorterThomas:
-    @pytest.mark.parametrize("m", [1, 2, 5, 10])
-    def test_normalization_and_moments(self, m):
-        total, _ = integrate.quad(lambda k: porter_thomas_pdf(k, m), 0, np.inf,
-                                  epsabs=1e-13, epsrel=1e-12)
-        mean, _ = integrate.quad(lambda k: k * porter_thomas_pdf(k, m), 0, np.inf,
-                                 epsabs=1e-13, epsrel=1e-12)
-        second, _ = integrate.quad(lambda k: k * k * porter_thomas_pdf(k, m), 0, np.inf,
-                                   epsabs=1e-12, epsrel=1e-12)
-        assert abs(total - 1.0) <= 1e-10
-        assert abs(mean - m) <= 1e-9
-        assert abs(second - mean**2 - 2 * m) <= 1e-8
-
-    def test_two_channels_is_exponential(self):
-        kappa = np.linspace(0.1, 20, 50)
-        np.testing.assert_allclose(
-            porter_thomas_pdf(kappa, 2), 0.5 * np.exp(-kappa / 2), rtol=1e-14
-        )
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            porter_thomas_pdf(0.0, 2)
 
 
 class TestKernels:

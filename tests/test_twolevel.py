@@ -249,7 +249,6 @@ class TestSweep:
         table = sweep(p, np.linspace(-1, 1, 5))
         assert 2 in table.exceptional_rows
         assert np.isnan(table.dgamma1[2]) and np.isnan(table.u11_re[2])
-        assert table.segments == [(0, 2), (3, 5)]
 
     def test_swapped_row_with_vanishing_mixing_is_regular(self):
         # nu = 0 at alpha = 0 (gamma1 = 0), so the branch f is 0 there; the
