@@ -137,16 +137,6 @@ class TestSweepCommand:
         _, _, rows = read_csv(out)
         assert rows.shape[0] == 7  # explicit flag beats the config value
 
-    def test_config_string_converts_like_the_flag(self, runner, tmp_path):
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({"alpha_min": "-1", "alpha_max": 1, "steps": "5"}))
-        flags = ["two-level", "sweep", *FIG_ARGS]
-        from_config = runner.invoke(main, [*flags, "--config", str(config)])
-        from_flags = runner.invoke(
-            main, [*flags, "--alpha-min", "-1", "--alpha-max", "1", "--steps", "5"])
-        assert from_config.exit_code == from_flags.exit_code == 0
-        assert from_config.output == from_flags.output
-
     def test_unknown_config_key_rejected(self, runner, tmp_path):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"delta": 1.0, "bogus_key": 3}))
@@ -345,14 +335,6 @@ class TestDistCommand:
         assert result.exit_code == 1
         assert result.output.splitlines() == [error]
 
-    def test_config_string_channel_count_converts(self, runner, tmp_path):
-        path = tmp_path / "dist.json"
-        path.write_text(json.dumps({"model": "goe", "n_channels": "2"}))
-        from_config = runner.invoke(main, ["dist", "--config", str(path), "--steps", "5"])
-        from_flags = runner.invoke(main, ["dist", "--model", "goe", "--m", "2", "--steps", "5"])
-        assert from_config.exit_code == from_flags.exit_code == 0
-        assert from_config.output == from_flags.output
-
     def test_rigid_kernel_at_zero(self, runner):
         result = runner.invoke(main, ["dist", "--model", "pf", "--m", "1", "--y", "0"])
         assert result.exit_code == 0
@@ -506,6 +488,21 @@ def test_channel_count_limit(args, tmp_path):
     assert refused.returncode == 1
     assert "Traceback" not in refused.stdout + refused.stderr
     assert refused.stderr.splitlines() == ["Error: m must be at most 5000, got 5001"]
+
+
+@pytest.mark.parametrize("args, config, flags", [
+    (["dist", "--steps", "5"], {"model": "goe", "n_channels": "2"},
+     ["--model", "goe", "--m", "2"]),
+    (["two-level", "sweep", *FIG_ARGS], {"alpha_min": "-1", "alpha_max": 1, "steps": "5"},
+     ["--alpha-min", "-1", "--alpha-max", "1", "--steps", "5"]),
+], ids=["dist", "two-level-sweep"])
+def test_config_string_converts_like_the_flag(args, config, flags, runner, tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    from_config = runner.invoke(main, [*args, "--config", str(path)])
+    from_flags = runner.invoke(main, [*args, *flags])
+    assert from_config.exit_code == from_flags.exit_code == 0
+    assert from_config.output == from_flags.output
 
 
 _ENSEMBLE_ARGS = ["ensemble", "--model", "goe", "--n", "20", "--m", "2",
