@@ -25,6 +25,7 @@ from .statistics import (
     MAX_CHANNELS,
     EnsembleConfig,
     SpectrumModel,
+    _usable_cores,
     large_m_limit_pf,
     phi_goe,
     phi_pf,
@@ -335,16 +336,18 @@ def cmd_critical_points(ctx, delta, d, v, gamma1, gamma2, theta,
               default="direct", show_default=True)
 @click.option("--spacing", type=float, default=1.0, show_default=True)
 @click.option("--seed", type=int, default=None, help="Omit for a fresh random seed (echoed).")
-@click.option("--threads", type=int, default=1, show_default=True,
-              help="Worker threads for the direct route, which samples with BLAS "
-                   "pinned to one thread; the representation route is always "
-                   "serial. Output is bit-identical for any value.")
+@click.option("--threads", type=int, default=None,
+              help="Worker threads; default every usable core (for the direct "
+                   "route, as many as fit under --max-memory-mb). Realizations "
+                   "too small for threads to pay, and picket-fence "
+                   "representation runs, are serial. Output is bit-identical "
+                   "for any value.")
 @click.option("--bins", type=int, default=61, show_default=True)
 @click.option("--range-max", type=float, default=None,
               help="Histogram half-range; defaults to 3*sqrt(M) (rigid) or 10 (GOE).")
 @click.option("--max-memory-mb", type=int, default=2048, show_default=True,
               help="Refuse a run whose projected memory exceeds this; the "
-                   "direct route's projection counts every --threads worker.")
+                   "direct route's projection counts every worker.")
 @click.option("--output", "-o", type=click.Path(dir_okay=False), default=None,
               help="Histogram + analytic curve CSV (stdout if omitted).")
 @click.option("--samples-out", type=click.Path(dir_okay=False), default=None,
@@ -376,25 +379,35 @@ def cmd_ensemble(ctx, model, n_levels, n_channels, realizations, window, route, 
         raise click.ClickException(f"bins must be >= 1, got {p['bins']}")
     if p["range_max"] is not None and not 0.0 < p["range_max"] < math.inf:
         raise click.ClickException(f"range-max must be positive and finite, got {p['range_max']}")
+    if p["threads"] is not None and p["threads"] < 1:
+        raise click.ClickException(f"threads must be >= 1, got {p['threads']}")
 
     # a GOE direct-route realization holds up to about seven n x n matrices
     # at once (measured 5.3-6.8 per worker at n=1200; a picket-fence one about
-    # two), and each worker runs one; the representation route holds no
-    # n x n matrix
-    workers = max(1, p["threads"])
-    per_worker = 7 * cfg.n_levels**2 if cfg.route == "direct" else 0
-    projected = 8 * (workers * per_worker + cfg.realizations * cfg.central_window
-                     + cfg.n_levels * cfg.n_channels)
-    if projected > p["max_memory_mb"] * 2**20:
+    # two), each worker runs one, and it keeps window samples; the
+    # representation route holds no n x n matrix and keeps one sample
+    direct = cfg.route == "direct"
+    per_worker = 8 * 7 * cfg.n_levels**2 if direct else 0
+    shared = 8 * (cfg.realizations * (cfg.central_window if direct else 1)
+                  + cfg.n_levels * cfg.n_channels)
+    cap = p["max_memory_mb"] * 2**20
+    workers = p["threads"]
+    if workers is None:  # every usable core whose worker fits under the cap
+        workers = _usable_cores()
+        if per_worker:
+            workers = max(1, min(workers, (cap - shared) // per_worker))
+    projected = workers * per_worker + shared
+    if projected > cap:
+        # rounded up, so it never reads as the cap it exceeds
         raise click.UsageError(
-            f"projected memory {projected / 2**20:.0f} MiB exceeds the "
+            f"projected memory {math.ceil(projected / 2**20)} MiB exceeds the "
             f"--max-memory-mb cap of {p['max_memory_mb']}"
         )
 
-    if cfg.route == "direct":
+    if direct:
         samples = sample_velocities_direct(cfg, workers=workers)
     else:
-        samples = sample_velocities_representation(cfg)
+        samples = sample_velocities_representation(cfg, workers=workers)
     runtime = dict(samples.runtime)
     if runtime["workers"] >= workers:
         runtime["reason"] = None  # only a shortfall needs a reason

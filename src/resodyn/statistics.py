@@ -16,19 +16,25 @@ convolution into the velocity distribution, its large-channel-count limit,
 and a chi-square goodness-of-fit report for sample/curve comparison.
 
 Both routes draw every realization from its own counter-based RNG substream
-keyed by (seed, realization index).  The direct route may spread its
-realizations over threads; it runs them with numpy's OpenBLAS pinned to one
-thread, because BLAS results depend in the last bits on the BLAS thread
-count, so its results are bit-identical for any number of workers and on
-any host.  The representation route is GIL-bound and always runs serially.
+keyed by (seed, realization index), so their results are bit-identical for
+any number of workers and on any host.  Both may spread their realizations
+over threads, where a realization is large enough for that to pay.  The
+direct route runs them with numpy's OpenBLAS pinned to one thread, because
+BLAS results depend in the last bits on the BLAS thread count.  The GOE
+representation route solves its tridiagonal spectra with LAPACK ``sterf``
+called through ctypes, which releases the GIL for the call; the
+picket-fence representation route has no GIL-free work and runs serially.
 """
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import ctypes
 import functools
 import math
+import os
+import re
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -223,21 +229,21 @@ def sample_goe(n: int, rng: np.random.Generator, spacing: float = 1.0) -> np.nda
     return (x + x.T) * (sigma / math.sqrt(2.0))
 
 
-def _goe_tridiagonal_levels(
-    n: int, rng: np.random.Generator, spacing: float, eigvalsh_tridiagonal
-) -> np.ndarray:
-    """Ascending GOE eigenvalues with the entry variances of :func:`sample_goe`,
-    drawn from the tridiagonal beta = 1 model (Dumitriu & Edelman, J. Math.
-    Phys. 43, 5830, 2002): diagonal N(0, 2 sigma^2), off-diagonal sigma times
-    chi variables with n-1, ..., 1 degrees of freedom.  Same eigenvalue law
-    as the dense matrix, at O(n) draws and an O(n^2) solve.  The solver is
-    ``scipy.linalg.eigvalsh_tridiagonal``, passed in by the caller, which
-    imports it once per run rather than once per realization.
+def _goe_tridiagonal(
+    n: int, rng: np.random.Generator, spacing: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of a symmetric tridiagonal matrix whose
+    eigenvalues are those of a GOE matrix with the entry variances of
+    :func:`sample_goe`: the tridiagonal beta = 1 model (Dumitriu & Edelman,
+    J. Math. Phys. 43, 5830, 2002), diagonal N(0, 2 sigma^2), off-diagonal
+    sigma times chi variables with n-1, ..., 1 degrees of freedom.  Same
+    eigenvalue law as the dense matrix, at O(n) draws and an O(n^2) solve
+    (LAPACK ``sterf``).
     """
     sigma = math.sqrt(n) * spacing / math.pi
     diag = (sigma * math.sqrt(2.0)) * rng.standard_normal(n)
     off = sigma * np.sqrt(rng.chisquare(np.arange(n - 1, 0, -1)))
-    return eigvalsh_tridiagonal(diag, off, lapack_driver="sterf", check_finite=False)
+    return diag, off
 
 
 def picket_fence_spectrum(n: int, spacing: float = 1.0) -> np.ndarray:
@@ -495,14 +501,133 @@ def _runtime(
     }
 
 
-def _run_realizations(task, realizations: int, workers: int) -> list:
-    if workers <= 1:
-        return [task(r) for r in range(realizations)]
+def _usable_cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# smallest n_levels at which two workers beat one, by (route, model): below
+# it a realization's GIL-free work is too short to pay for the threads.
+# Measured on 2 cores (see CHANGES.md); the picket-fence representation
+# route has no GIL-free work at all
+_MIN_THREADED_LEVELS = {
+    ("direct", "goe"): 60,
+    ("direct", "picket-fence"): 128,
+    ("representation", "goe"): 80,
+    ("representation", "picket-fence"): math.inf,
+}
+# realizations a solve pipeline keeps in flight per worker
+_AHEAD = 4
+
+
+def _run_realizations(
+    task, config: EnsembleConfig, workers: int, solve=None
+) -> tuple[list, int, str | None]:
+    """The results of every realization of `config`, in order, the workers
+    used, and why fewer than `workers`, if the realizations are too small
+    for threads to pay.
+
+    Without `solve`, ``task(r)`` is the result of realization r, and the
+    tasks run on the workers.  With `solve`, a realization takes three
+    steps: ``task(r)`` returns ``(finish, args)``, ``solve(*args)`` is the
+    work that releases the GIL, and ``finish(solve(*args))`` is the result.
+    `task` and `finish` then run in the calling thread, in order, while the
+    workers run `solve` a few realizations ahead: the GIL-bound steps
+    overlap the GIL-free ones instead of contending with them.
+    """
+    if workers > 1 and config.n_levels < _MIN_THREADED_LEVELS[config.route, config.model.kind]:
+        workers, reason = 1, "realization too small for threads"
+    else:
+        workers, reason = max(1, workers), None
+    realizations = range(config.realizations)
+    if workers == 1:
+        if solve is None:
+            return [task(r) for r in realizations], 1, reason
+        return [finish(solve(*args)) for finish, args in map(task, realizations)], 1, reason
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, range(realizations)))
+        if solve is None:
+            return list(pool.map(task, realizations)), workers, None
+        results, pending = [], collections.deque()
+        for r in realizations:
+            finish, args = task(r)
+            pending.append((finish, pool.submit(solve, *args)))
+            if len(pending) > _AHEAD * workers:
+                finish, solved = pending.popleft()
+                results.append(finish(solved.result()))
+        results.extend(finish(solved.result()) for finish, solved in pending)
+        return results, workers, None
 
 
-def sample_velocities_representation(config: EnsembleConfig) -> VelocitySampleSet:
+@functools.cache
+def _gil_free_sterf() -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """LAPACK ``dsterf`` called through ctypes, which releases the GIL for
+    the call, so GOE representation realizations can overlap on threads.
+
+    The function pointer is the one ``scipy.linalg.cython_lapack`` exports:
+    the routine, in the library, that ``eigvalsh_tridiagonal(...,
+    lapack_driver="sterf")`` calls.  Built once, on first use; raises if the
+    export is missing or its signature is not
+    ``void(int *, double *, double *, int *)``.  The returned solver takes
+    C-contiguous float64 arrays of the diagonal and the off-diagonal,
+    overwrites both, and returns the diagonal array holding the ascending
+    eigenvalues.
+    """
+    from scipy.linalg.cython_lapack import __pyx_capi__ as capi
+
+    capsule = capi["dsterf"]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    name = get_name(capsule)
+    # the middle arguments are cython_lapack's typedef of double
+    if not re.fullmatch(rb"void \(int \*, (\w+_d) \*, \1 \*, int \*\)", name or b""):
+        raise TypeError(f"unexpected dsterf signature {name!r}")
+    int_p = ctypes.POINTER(ctypes.c_int)
+    call = ctypes.CFUNCTYPE(None, int_p, ctypes.c_void_p, ctypes.c_void_p, int_p)(
+        get_pointer(capsule, name))
+
+    def sterf(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+        # LAPACK reads n doubles from diag and n - 1 from off, in place
+        for a in (diag, off):
+            if a.dtype != np.float64 or a.ndim != 1 or not a.flags.c_contiguous \
+                    or not a.flags.writeable:
+                raise ValueError("sterf needs writable contiguous 1-D float64 arrays")
+        if not 0 < diag.size == off.size + 1:
+            raise ValueError(f"sterf needs n >= 1 diagonal and n - 1 off-diagonal "
+                             f"entries, got {diag.size} and {off.size}")
+        n, info = ctypes.c_int(diag.size), ctypes.c_int(0)
+        call(ctypes.byref(n), diag.ctypes.data, off.ctypes.data, ctypes.byref(info))
+        if info.value:
+            raise np.linalg.LinAlgError(f"sterf failed with info={info.value}")
+        return diag
+
+    return sterf
+
+
+def _sterf_solver() -> tuple[Callable[[np.ndarray, np.ndarray], np.ndarray], str | None]:
+    """The GIL-free ``sterf`` and None, or, if it cannot be built, scipy's
+    own wrapper of the same routine (which holds the GIL) and why."""
+    try:
+        return _gil_free_sterf(), None
+    except (ImportError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        from scipy.linalg.lapack import dsterf
+
+        def sterf(diag, off):
+            levels, info = dsterf(diag, off)
+            if info:
+                raise np.linalg.LinAlgError(f"sterf failed with info={info}")
+            return levels
+
+        return sterf, f"no GIL-free LAPACK sterf: {exc}"
+
+
+def sample_velocities_representation(
+    config: EnsembleConfig, *, workers: int = 1
+) -> VelocitySampleSet:
     """Sample rescaled width velocities from their weak-coupling representation.
 
     Each realization draws a chi-square width factor kappa, a model spectrum,
@@ -520,11 +645,18 @@ def sample_velocities_representation(config: EnsembleConfig) -> VelocitySampleSe
     estimate of the relative variance lost to the truncation is recorded
     (and warned about when it exceeds 5%).
 
-    The realizations run serially: `sterf` and the small draws hold the
-    GIL, so threads would only add switching.
+    GOE realizations use `workers` threads where they are large enough for
+    that to pay (:data:`_MIN_THREADED_LEVELS`).  The calling thread draws
+    each realization and the workers solve its spectrum with LAPACK
+    ``sterf``, most of a realization's time, called through ctypes with the
+    GIL released (:func:`_gil_free_sterf`).  It is the routine that
+    ``eigvalsh_tridiagonal(..., lapack_driver="sterf")`` calls, and each
+    realization has its own substream, so the bytes do not depend on
+    `workers`.  If that binding cannot be built, the route runs serially
+    through ``scipy.linalg.lapack.dsterf`` with the same bytes, and
+    ``runtime["reason"]`` says why.  Picket-fence realizations hold the GIL
+    throughout and always run serially.
     """
-    from scipy.linalg import eigvalsh_tridiagonal  # keeps it off the CLI import
-
     if config.route != "representation":
         raise ValueError(f"config.route is {config.route!r}, expected 'representation'")
     model = config.model
@@ -542,33 +674,39 @@ def sample_velocities_representation(config: EnsembleConfig) -> VelocitySampleSe
     ref = (config.n_levels - 1) // 2
     neighbours = ref + offsets
 
-    def one(r: int) -> float:
-        rng = substream(config.seed, r)
-        kappa = rng.chisquare(config.n_channels)
-        if model.is_rigid:
-            denom = pf_denominators
-        else:
-            levels = _goe_tridiagonal_levels(
-                config.n_levels, rng, model.spacing, eigvalsh_tridiagonal
-            )
-            denom = levels[ref] - levels[neighbours]
+    def velocity(rng, kappa: float, denom: np.ndarray) -> float:
         z = rng.standard_normal(window - 1)
         v = rng.standard_normal(window - 1)
+        return math.sqrt(kappa) / math.pi * model.spacing * float(np.sum(z * v / denom))
+
+    def one_pf(r: int) -> float:
+        rng = substream(config.seed, r)
+        return velocity(rng, rng.chisquare(config.n_channels), pf_denominators)
+
+    def one_goe(r: int):
+        rng = substream(config.seed, r)
+        kappa = rng.chisquare(config.n_channels)
+        tridiagonal = _goe_tridiagonal(config.n_levels, rng, model.spacing)
         return (
-            math.sqrt(kappa) / math.pi * model.spacing * float(np.sum(z * v / denom))
+            lambda levels: velocity(rng, kappa, levels[ref] - levels[neighbours]),
+            tridiagonal,
         )
 
-    values = np.array([one(r) for r in range(config.realizations)])
+    if model.is_rigid:
+        values, used, reason = _run_realizations(one_pf, config, workers)
+    else:
+        sterf, reason = _sterf_solver()
+        values, used, too_small = _run_realizations(
+            one_goe, config, 1 if reason else workers, solve=sterf
+        )
+        reason = reason or too_small
     blas = _blas_thread_control()
     return VelocitySampleSet(
-        values=values,
+        values=np.array(values),
         config=config,
         counts=np.ones(config.realizations, dtype=int),
         truncation_deficit=deficit,
-        runtime=_runtime(
-            blas, 1, "representation route is serial",
-            blas.get() if blas is not None else None,
-        ),
+        runtime=_runtime(blas, used, reason, blas.get() if blas is not None else None),
     )
 
 
@@ -608,14 +746,16 @@ def sample_velocities_direct(
     layout the sets always had, so they are correlated across M as
     before.
 
-    The realizations run on `workers` threads with numpy's OpenBLAS pinned
-    to one thread, whatever `workers` is, and the previous BLAS thread count
-    is restored afterwards.  The GIL is released in `eigh`, the matrix
-    products and the normal draws, so one BLAS thread per realization lets
-    the workers overlap; pinning serial runs too keeps the bytes independent
-    of `workers` and of the host's core count.  If the BLAS thread count
-    cannot be controlled, the realizations run serially.  The count is
-    process-wide, so calls from several threads at once are not supported.
+    The realizations run on `workers` threads, or serially where they are
+    too small for threads to pay (:data:`_MIN_THREADED_LEVELS`), with
+    numpy's OpenBLAS pinned to one thread, whatever `workers` is, and the
+    previous BLAS thread count is restored afterwards.  The GIL is released
+    in `eigh`, the matrix products and the normal draws, so one BLAS thread
+    per realization lets the workers overlap; pinning serial runs too keeps
+    the bytes independent of `workers` and of the host's core count.  If
+    the BLAS thread count cannot be controlled, the realizations run
+    serially.  The count is process-wide, so calls from several threads at
+    once are not supported.
     """
     return _sample_direct(config, (config.n_channels,), workers=workers)[config.n_channels]
 
@@ -688,16 +828,16 @@ def _sample_direct(
 
     blas = _blas_thread_control()
     if blas is None:
-        results = _run_realizations(one, config.realizations, 1)
+        results, _, _ = _run_realizations(one, config, 1)
         runtime = _runtime(None, 1, "BLAS thread control unavailable", None)
     else:
         previous = blas.get()
         blas.set(1)
         try:
-            results = _run_realizations(one, config.realizations, workers)
+            results, used, reason = _run_realizations(one, config, workers)
         finally:
             blas.set(previous)
-        runtime = _runtime(blas, max(1, workers), None, 1)
+        runtime = _runtime(blas, used, reason, 1)
     skipped = int(sum(s for _, s in results))
     counts = np.array([window - s for _, s in results], dtype=int)
     return {

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 import time
 from dataclasses import dataclass, replace
 from functools import cache, partial
@@ -38,6 +37,7 @@ from .statistics import (
     _blas_thread_control,
     _reference_levels,
     _sample_direct,
+    _usable_cores,
     compare_histogram,
     phi_goe,
     phi_pf,
@@ -149,14 +149,6 @@ def random_open_system(rng: np.random.Generator, n: int, m: int = 3,
         np.fill_diagonal(sep, np.inf)
         if sep.min() > 1e-2:
             return heff
-
-
-def _usable_cores() -> int:
-    """Cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def rigid_samples(seed: int) -> dict:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 from scipy.integrate import trapezoid
 
-from resodyn import cli
+from resodyn import cli, statistics
 from resodyn.cli import main
 from resodyn.verify import CheckResult
 
@@ -264,12 +265,13 @@ class TestEnsembleCommand:
                 "-o", str(tmp_path / "hist.csv")]
         refused = runner.invoke(main, [*args, "--threads", "2", "--max-memory-mb", "24"])
         assert refused.exit_code == 1
-        assert "projected memory 38 MiB" in refused.output
+        assert "projected memory 39 MiB" in refused.output
         assert sampled == []
-        # one worker projects seven matrices, 19.2 MiB; six would fit under 18
-        tight = runner.invoke(main, [*args, "--threads", "1", "--max-memory-mb", "18"])
+        # one worker projects seven matrices, 19.2 MiB: over a cap of 19, and
+        # printed rounded up so that it does not read as the cap itself
+        tight = runner.invoke(main, [*args, "--threads", "1", "--max-memory-mb", "19"])
         assert tight.exit_code == 1
-        assert "projected memory 19 MiB" in tight.output
+        assert "projected memory 20 MiB exceeds the --max-memory-mb cap of 19" in tight.output
         assert sampled == []
         serial = runner.invoke(main, [*args, "--threads", "1", "--max-memory-mb", "24"])
         assert serial.exit_code == 0, serial.output
@@ -278,7 +280,63 @@ class TestEnsembleCommand:
                                    "--max-memory-mb", "1"])
         assert rep.exit_code == 0, rep.output
 
+    @pytest.mark.parametrize("cap, workers", [("19", None), ("24", 1), ("45", 2), ("60", 3)])
+    def test_default_threads_fit_under_the_cap(self, runner, tmp_path, monkeypatch,
+                                               cap, workers):
+        # without --threads the direct route takes every usable core whose
+        # ~19.2 MiB worker fits, at least one; one that does not fit is refused
+        sampled = []
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 3)
+        real = cli.sample_velocities_direct
+        monkeypatch.setattr(cli, "sample_velocities_direct",
+                            lambda *a, **k: sampled.append(k["workers"]) or real(*a, **k))
+        result = runner.invoke(
+            main,
+            ["ensemble", "--model", "picket-fence", "--n", "600", "--m", "1",
+             "--realizations", "2", "--window", "25", "--seed", "1",
+             "--max-memory-mb", cap, "-o", str(tmp_path / "hist.csv")],
+        )
+        if workers is None:
+            assert result.exit_code == 1
+            assert "projected memory 20 MiB" in result.output
+            assert sampled == []
+        else:
+            assert result.exit_code == 0, result.output
+            assert sampled == [workers]
+
+    def test_memory_guard_counts_one_sample_per_representation_realization(
+        self, runner, tmp_path, monkeypatch
+    ):
+        # 100,000 realizations keep 100,000 samples (0.8 MB), not 25 per
+        # realization (19 MiB); the spy samples only 10 of them
+        sampled = []
+        real = cli.sample_velocities_representation
+        monkeypatch.setattr(
+            cli, "sample_velocities_representation",
+            lambda cfg, **k: sampled.append(cfg.realizations)
+            or real(replace(cfg, realizations=10), **k),
+        )
+        args = ["ensemble", "--model", "pf", "--route", "representation", "--n", "250",
+                "--m", "2", "--window", "25", "--seed", "1",
+                "-o", str(tmp_path / "hist.csv")]
+        result = runner.invoke(main, [*args, "--realizations", "100000",
+                                      "--max-memory-mb", "19"])
+        assert result.exit_code == 0, result.output
+        assert sampled == [100000]
+        refused = runner.invoke(main, [*args, "--realizations", "140000",
+                                       "--max-memory-mb", "1"])
+        assert refused.exit_code == 1
+        assert "projected memory 2 MiB exceeds the --max-memory-mb cap of 1" in refused.output
+        assert sampled == [100000]
+
+    @staticmethod
+    def _runtime(path):
+        comments, _, _ = read_csv(path)
+        line = next(c for c in comments if c.startswith("# runtime: "))
+        return json.loads(line.removeprefix("# runtime: "))
+
     def test_representation_route(self, runner, tmp_path):
+        # picket-fence realizations hold the GIL throughout: serial, with the reason
         out = tmp_path / "hist.csv"
         result = runner.invoke(
             main,
@@ -287,11 +345,58 @@ class TestEnsembleCommand:
              "--route", "representation", "--threads", "2", "-o", str(out)],
         )
         assert result.exit_code == 0
-        comments, _, _ = read_csv(out)
-        line = next(c for c in comments if c.startswith("# runtime: "))
-        runtime = json.loads(line.removeprefix("# runtime: "))
+        runtime = self._runtime(out)
         assert runtime["workers"] == 1
-        assert runtime["reason"] == "representation route is serial"
+        assert runtime["reason"] == "realization too small for threads"
+
+    def test_goe_representation_defaults_to_every_usable_core(self, runner, tmp_path):
+        out = tmp_path / "hist.csv"
+        result = runner.invoke(
+            main,
+            ["ensemble", "--model", "goe", "--n", "250", "--m", "2",
+             "--realizations", "20", "--window", "25", "--seed", "3",
+             "--route", "representation", "-o", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        runtime = self._runtime(out)
+        assert runtime["workers"] == statistics._usable_cores()
+        assert runtime["reason"] is None
+
+    @pytest.mark.filterwarnings("ignore:window of 4 levels truncates")
+    @pytest.mark.parametrize("model, route", [("pf", "direct"), ("goe", "direct"),
+                                              ("goe", "representation")])
+    def test_small_realizations_run_serially(self, runner, tmp_path, model, route):
+        # at N=12 two threads took twice the serial time; they are not used
+        out = tmp_path / "hist.csv"
+        result = runner.invoke(
+            main,
+            ["ensemble", "--model", model, "--route", route, "--n", "12", "--m", "2",
+             "--realizations", "20", "--window", "4", "--seed", "3",
+             "--threads", "2", "-o", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        runtime = self._runtime(out)
+        assert runtime["workers"] == 1
+        assert runtime["reason"] == "realization too small for threads"
+
+    @pytest.mark.parametrize("value", [0, -2])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_threads_below_one_refused_before_sampling(self, runner, tmp_path, monkeypatch,
+                                                       value, source):
+        sampled = []
+        monkeypatch.setattr(cli, "sample_velocities_direct", lambda *a, **k: sampled.append(k))
+        args = ["ensemble", "--model", "goe", "--n", "20", "--m", "2", "--realizations", "2",
+                "--window", "5", "--seed", "1"]
+        if source == "flag":
+            args += ["--threads", str(value)]
+        else:
+            path = tmp_path / "ensemble.json"
+            path.write_text(json.dumps({"threads": value}))
+            args += ["--config", str(path)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [f"Error: threads must be >= 1, got {value}"]
+        assert sampled == []
 
     def test_config_bins_refused_before_sampling(self, runner, tmp_path, monkeypatch):
         sampled = []

@@ -1,5 +1,7 @@
 import math
+import os
 import threading
+import warnings
 from dataclasses import replace
 from functools import partial
 
@@ -34,7 +36,7 @@ from resodyn import (
 from resodyn import statistics
 from resodyn.statistics import (
     SINGULAR_Y,
-    _goe_tridiagonal_levels,
+    _goe_tridiagonal,
     _window_offsets,
     singular_points,
 )
@@ -44,6 +46,14 @@ def pf_config(m=1, realizations=200, window=25, seed=7, route="direct", n=250):
     return EnsembleConfig(
         n_levels=n, n_channels=m, realizations=realizations, central_window=window,
         seed=seed, model=SpectrumModel.picket_fence(), route=route,
+    )
+
+
+def goe_representation_config(realizations=30, seed=17):
+    """Large enough (N=120) for the GOE representation route to use threads."""
+    return EnsembleConfig(
+        n_levels=120, n_channels=2, realizations=realizations, central_window=25,
+        seed=seed, model=SpectrumModel.goe(), route="representation",
     )
 
 
@@ -103,8 +113,8 @@ class TestEnsembles:
         # `spacing`, checked at a non-unit spacing
         spacing = 0.5
         gaps = [
-            np.diff(_goe_tridiagonal_levels(
-                250, substream(31, r), spacing, eigvalsh_tridiagonal)[self.CENTRAL])
+            np.diff(eigvalsh_tridiagonal(
+                *_goe_tridiagonal(250, substream(31, r), spacing))[self.CENTRAL])
             for r in range(100)
         ]
         assert abs(np.mean(gaps) / spacing - 1.0) <= 0.02
@@ -113,8 +123,8 @@ class TestEnsembles:
         # central nearest-neighbour spacings of the tridiagonal model and of
         # the dense matrix follow one law
         tri = np.concatenate([
-            np.diff(_goe_tridiagonal_levels(
-                250, substream(32, r), 1.0, eigvalsh_tridiagonal)[self.CENTRAL])
+            np.diff(eigvalsh_tridiagonal(
+                *_goe_tridiagonal(250, substream(32, r), 1.0))[self.CENTRAL])
             for r in range(300)
         ])
         dense = np.concatenate([
@@ -384,9 +394,10 @@ class TestRepresentationRoute:
         # the level nearest zero would sit next to gaps about 10% wider
         n = 250
         ref = (n - 1) // 2
+        sterf = statistics._gil_free_sterf()
         gaps = np.empty(4000)
         for r in range(gaps.size):
-            levels = _goe_tridiagonal_levels(n, substream(2024, r), 1.0, eigvalsh_tridiagonal)
+            levels = sterf(*_goe_tridiagonal(n, substream(2024, r), 1.0))
             gaps[r] = 0.5 * (levels[ref + 1] - levels[ref - 1])
         se = gaps.std() / math.sqrt(gaps.size)
         assert abs(gaps.mean() - 1.0) <= 3 * se
@@ -439,6 +450,126 @@ class TestRepresentationRoute:
     def test_route_mismatch_rejected(self):
         with pytest.raises(ValueError, match="route"):
             sample_velocities_representation(pf_config(route="direct"))
+
+    @pytest.mark.parametrize("model", ["goe", "pf"])
+    def test_workers_do_not_change_the_samples(self, model, monkeypatch):
+        cfg = replace(goe_representation_config(), model=SpectrumModel(model))
+        runs = {w: sample_velocities_representation(cfg, workers=w) for w in (1, 2, 3)}
+        # the same route with scipy's own tridiagonal solver
+        monkeypatch.setattr(
+            statistics, "_gil_free_sterf",
+            lambda: partial(eigvalsh_tridiagonal, lapack_driver="sterf", check_finite=False),
+        )
+        reference = sample_velocities_representation(cfg)
+        for run in runs.values():
+            assert run.values.tobytes() == reference.values.tobytes()
+        threaded = runs[3].runtime
+        if model == "goe":
+            assert (threaded["workers"], threaded["reason"]) == (3, None)
+        else:  # no GIL-free work to overlap
+            assert (threaded["workers"], threaded["reason"]) == (
+                1, "realization too small for threads")
+
+    def test_serial_without_the_gil_free_sterf(self, monkeypatch):
+        cfg = goe_representation_config()
+        threaded = sample_velocities_representation(cfg, workers=2)
+
+        def unavailable():
+            raise ImportError("no cython_lapack")
+
+        monkeypatch.setattr(statistics, "_gil_free_sterf", unavailable)
+        callers = set()
+        draw = statistics.substream
+
+        def spy(*args):
+            callers.add(threading.get_ident())
+            return draw(*args)
+
+        monkeypatch.setattr(statistics, "substream", spy)
+        fallback = sample_velocities_representation(cfg, workers=2)
+        assert callers == {threading.get_ident()}
+        assert fallback.values.tobytes() == threaded.values.tobytes()
+        assert fallback.runtime["workers"] == 1
+        assert fallback.runtime["reason"] == "no GIL-free LAPACK sterf: no cython_lapack"
+
+
+@pytest.fixture
+def fresh_sterf():
+    """The cached ctypes sterf binding, rebuilt for the test and after it."""
+    statistics._gil_free_sterf.cache_clear()
+    yield
+    statistics._gil_free_sterf.cache_clear()
+
+
+class TestGilFreeSterf:
+    def test_matches_scipy_dsterf_bit_for_bit(self):
+        from scipy.linalg.lapack import dsterf
+
+        sterf = statistics._gil_free_sterf()
+        rng = np.random.default_rng(2025)
+        for n in (2, 3, 17, 250):
+            for _ in range(25):
+                d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+                expected, info = dsterf(d, e)
+                assert info == 0
+                assert sterf(d.copy(), e.copy()).tobytes() == expected.tobytes()
+
+    def test_failure_raises(self):
+        # dsterf reports a NaN input as a failure to converge (info > 0)
+        with pytest.raises(np.linalg.LinAlgError, match="info=2"):
+            statistics._gil_free_sterf()(np.array([np.nan, 1.0, 2.0]), np.array([1.0, np.nan]))
+
+    @pytest.mark.parametrize("diag, off", [
+        (np.ones(3), np.ones(3)),  # off too long
+        (np.ones(3, dtype=np.float32), np.ones(2, dtype=np.float32)),
+        (np.ones(6)[::2], np.ones(2)),  # not contiguous
+        (np.ones((3, 1)), np.ones(2)),
+    ])
+    def test_unsafe_buffers_refused(self, diag, off):
+        with pytest.raises(ValueError, match="sterf needs"):
+            statistics._gil_free_sterf()(diag, off)
+
+    def test_wrong_signature_is_not_bound(self, fresh_sterf, monkeypatch):
+        from scipy.linalg.cython_lapack import __pyx_capi__ as capi
+
+        # single precision: the same call shape on floats
+        monkeypatch.setitem(capi, "dsterf", capi["ssterf"])
+        with pytest.raises(TypeError, match="unexpected dsterf signature"):
+            statistics._gil_free_sterf()
+        _, reason = statistics._sterf_solver()
+        assert reason.startswith("no GIL-free LAPACK sterf: unexpected dsterf signature")
+
+
+class TestThreadThreshold:
+    @pytest.mark.parametrize("route", ["direct", "representation"])
+    def test_small_realizations_run_serially(self, route):
+        # pf _sample_direct at N=12 took twice as long on two threads
+        cfg = pf_config(m=2, realizations=30, window=4, n=12, route=route)
+        sample = (sample_velocities_direct if route == "direct"
+                  else sample_velocities_representation)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            serial, asked = sample(cfg, workers=1), sample(cfg, workers=2)
+        assert serial.values.tobytes() == asked.values.tobytes()
+        assert (serial.runtime["workers"], serial.runtime["reason"]) == (1, None)
+        assert (asked.runtime["workers"], asked.runtime["reason"]) == (
+            1, "realization too small for threads")
+
+    def test_every_route_and_model_has_a_threshold(self):
+        assert set(statistics._MIN_THREADED_LEVELS) == {
+            (route, kind) for route in ("direct", "representation")
+            for kind in ("goe", "picket-fence")
+        }
+
+
+def test_usable_cores(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert statistics._usable_cores() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert statistics._usable_cores() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert statistics._usable_cores() == 1
 
 
 class TestDirectRoute:
@@ -565,7 +696,10 @@ class TestDirectRoute:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("model", [SpectrumModel.picket_fence(), SpectrumModel.goe()],
                              ids=["pf", "goe"])
-    def test_shared_draw_matches_single_channel_calls(self, model, workers):
+    def test_shared_draw_matches_single_channel_calls(self, model, workers, monkeypatch):
+        # N=40 is below the size where threads pay; run them anyway
+        for key in statistics._MIN_THREADED_LEVELS:
+            monkeypatch.setitem(statistics._MIN_THREADED_LEVELS, key, 2)
         cfg = EnsembleConfig(
             n_levels=40, n_channels=1, realizations=30, central_window=9,
             seed=23, model=model, route="direct",
