@@ -1,5 +1,4 @@
 import math
-import os
 import threading
 import warnings
 from dataclasses import replace
@@ -560,16 +559,6 @@ class TestThreadThreshold:
             (route, kind) for route in ("direct", "representation")
             for kind in ("goe", "picket-fence")
         }
-
-
-def test_usable_cores(monkeypatch):
-    if hasattr(os, "sched_getaffinity"):
-        assert statistics._usable_cores() == len(os.sched_getaffinity(0))
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 5)
-    assert statistics._usable_cores() == 5
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert statistics._usable_cores() == 1
 
 
 class TestDirectRoute:

@@ -1,6 +1,7 @@
 """Contract of the check table behind ``resodyn verify``."""
 
 import importlib.util
+import os
 import sys
 from dataclasses import replace
 from functools import partial
@@ -81,6 +82,16 @@ def test_coupling_widths_match_the_out_of_place_form():
     reference_z = abs(a.var() - 0.7) / (0.7 * np.sqrt(2.0 / a.size))
     reference_p = kstest((a**2).sum(axis=1) / 0.7, partial(chdtr, 2)).pvalue
     assert (z, p_value) == (reference_z, reference_p)
+
+
+def test_usable_cores(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert verify._usable_cores() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert verify._usable_cores() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert verify._usable_cores() == 1
 
 
 @pytest.mark.parametrize("cores", [1, 2])
