@@ -33,7 +33,6 @@ from .spectral import (
 from .statistics import (
     EnsembleConfig,
     FitReport,
-    SpectrumModel,
     VelocitySampleSet,
     compare_histogram,
     large_m_limit_pf,
@@ -103,7 +102,6 @@ __all__ = [
     "find_alpha_circ",
     "exceptional_point_distance",
     # statistics
-    "SpectrumModel",
     "EnsembleConfig",
     "VelocitySampleSet",
     "FitReport",

@@ -24,7 +24,7 @@ from .errors import ExceptionalPointError, MatchingError, SmallDenominatorError
 from .statistics import (
     MAX_CHANNELS,
     EnsembleConfig,
-    SpectrumModel,
+    _MODELS,
     _usable_cores,
     large_m_limit_pf,
     phi_goe,
@@ -125,11 +125,11 @@ def _plain(x):
     return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
-def _masked_pdf(points: np.ndarray, m: int, kind: str):
+def _masked_pdf(points: np.ndarray, m: int, model: str):
     """velocity_pdf on a grid, NaN at the singular points; returns (pdf, mask)."""
     singular = singular_points(points, m)
     pdf = np.full(points.shape, np.nan)
-    pdf[~singular] = velocity_pdf(points[~singular], m, kind)
+    pdf[~singular] = velocity_pdf(points[~singular], m, model)
     return pdf, singular
 
 
@@ -327,14 +327,13 @@ def cmd_critical_points(ctx, delta, d, v, gamma1, gamma2, theta,
 
 
 @main.command("ensemble")
-@click.option("--model", type=click.Choice(["goe", "picket-fence", "pf"]), default=None)
+@click.option("--model", type=click.Choice(list(_MODELS)), default=None)
 @click.option("--n", "n_levels", type=int, default=None, help="Matrix dimension N.")
 @click.option("--m", "n_channels", type=int, default=None, help="Open channel count M.")
 @click.option("--realizations", type=int, default=None)
 @click.option("--window", type=int, default=None, help="Levels kept around E=0.")
 @click.option("--route", type=click.Choice(["representation", "direct", "direct-matrix"]),
               default="direct", show_default=True)
-@click.option("--spacing", type=float, default=1.0, show_default=True)
 @click.option("--seed", type=int, default=None, help="Omit for a fresh random seed (echoed).")
 @click.option("--threads", type=int, default=None,
               help="Worker threads; default every usable core (for the direct "
@@ -355,8 +354,8 @@ def cmd_critical_points(ctx, delta, d, v, gamma1, gamma2, theta,
 @click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.pass_context
 @_numeric_guard
-def cmd_ensemble(ctx, model, n_levels, n_channels, realizations, window, route, spacing,
-                 seed, threads, bins, range_max, max_memory_mb, output, samples_out, config):
+def cmd_ensemble(ctx, model, n_levels, n_channels, realizations, window, route, seed,
+                 threads, bins, range_max, max_memory_mb, output, samples_out, config):
     """Monte-Carlo sampling of rescaled width velocities."""
     _load_config_file(ctx, config)
     _require(ctx, "model", "n_levels", "n_channels", "realizations", "window")
@@ -369,7 +368,7 @@ def cmd_ensemble(ctx, model, n_levels, n_channels, realizations, window, route, 
             realizations=p["realizations"],
             central_window=p["window"],
             seed=used_seed,
-            model=SpectrumModel(kind=p["model"], spacing=p["spacing"]),
+            model=p["model"],
             route=p["route"],
         )
     except ValueError as exc:
@@ -414,12 +413,11 @@ def cmd_ensemble(ctx, model, n_levels, n_channels, realizations, window, route, 
 
     half = p["range_max"]
     if half is None:
-        half = 3.0 * math.sqrt(cfg.n_channels) if cfg.model.is_rigid else 10.0
+        half = 3.0 * math.sqrt(cfg.n_channels) if cfg.is_rigid else 10.0
     counts, edges = np.histogram(samples.values, bins=p["bins"], range=(-half, half))
     density = counts / max(samples.n_samples, 1) / np.diff(edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    kind = "pf" if cfg.model.is_rigid else "goe"
-    pdf_vals, _ = _masked_pdf(centers, cfg.n_channels, kind)
+    pdf_vals, _ = _masked_pdf(centers, cfg.n_channels, cfg.model)
 
     moment, moment_se = samples.second_moment()
     comments = [
@@ -443,7 +441,7 @@ def cmd_ensemble(ctx, model, n_levels, n_channels, realizations, window, route, 
 
 
 @main.command("dist")
-@click.option("--model", type=click.Choice(["goe", "picket-fence", "pf"]), default=None)
+@click.option("--model", type=click.Choice(list(_MODELS)), default=None)
 @click.option("--m", "n_channels", type=int, default=None)
 @click.option("--y", type=float, default=None, help="Single evaluation point.")
 @click.option("--y-min", type=float, default=-10.0, show_default=True)
@@ -474,7 +472,8 @@ def cmd_dist(ctx, model, n_channels, y, y_min, y_max, steps, output, config):
         if p["steps"] > 1 and not p["y_max"] > p["y_min"]:
             raise click.UsageError("y-max must exceed y-min for steps > 1")
         grid = np.linspace(p["y_min"], p["y_max"], p["steps"])
-    kind = "pf" if p["model"] in ("pf", "picket-fence") else "goe"
+    # the header names the picket fence "pf", whichever name was given
+    kind = "goe" if p["model"] == "goe" else "pf"
 
     pdf, singular = _masked_pdf(grid, m, kind)
     rows = np.column_stack(
@@ -500,7 +499,10 @@ def cmd_verify(level, seed, output):
     its output does not depend on the core count.
     """
     used_seed = seed if seed is not None else 7
-    results = run_checks(level=level, seed=used_seed)
+    try:
+        results = run_checks(level=level, seed=used_seed)
+    except ValueError as exc:  # an out-of-range seed, before any check runs
+        raise click.ClickException(str(exc))
     use_color = sys.stdout.isatty() and not os.environ.get("NO_COLOR")
     for check in results:
         tag = "PASS" if check.passed else "FAIL"

@@ -10,10 +10,13 @@ Two Monte-Carlo routes produce samples of the rescaled width velocity y:
   decay amplitudes, random symmetric perturbation), evaluates the
   weak-coupling velocity formula level by level, and rescales.
 
-The analytic side provides the Porter-Thomas width distribution, the
-spectral kernels for rigid (picket-fence) and GOE level sequences, their
-convolution into the velocity distribution, its large-channel-count limit,
-and a chi-square goodness-of-fit report for sample/curve comparison.
+Both spectrum models, ``"goe"`` and ``"picket-fence"`` (alias ``"pf"``),
+have unit mean level spacing at the band center, so y is dimensionless.
+
+The analytic side provides the spectral kernels for rigid (picket-fence)
+and GOE level sequences, their mixture over the chi-square (Porter-Thomas)
+width factor into the velocity distribution, its large-channel-count
+limit, and a chi-square goodness-of-fit report for sample/curve comparison.
 
 Both routes draw every realization from its own counter-based RNG substream
 keyed by (seed, realization index), so their results are bit-identical for
@@ -45,7 +48,6 @@ from scipy.special import chdtrc, gammaln
 from .errors import TruncationWarning
 
 __all__ = [
-    "SpectrumModel",
     "EnsembleConfig",
     "VelocitySampleSet",
     "FitReport",
@@ -81,52 +83,31 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-@dataclass(frozen=True)
-class SpectrumModel:
-    """Closed-system spectrum model: GOE or equidistant (picket-fence) levels.
+# every accepted name of a spectrum model, to its canonical name
+_MODELS = {"goe": "goe", "picket-fence": "picket-fence", "pf": "picket-fence"}
 
-    `spacing` is the mean level spacing at the band center; the GOE entry
-    variances are normalized so that the semicircle's central spacing equals
-    it exactly (sigma^2 = N * spacing^2 / pi^2 off-diagonal).
-    """
 
-    kind: str
-    spacing: float = 1.0
-
-    def __post_init__(self):
-        kind = {"pf": "picket-fence"}.get(self.kind, self.kind)
-        if kind not in ("goe", "picket-fence"):
-            raise ValueError(f"unknown spectrum model {self.kind!r}")
-        if not self.spacing > 0:
-            raise ValueError("spacing must be positive")
-        object.__setattr__(self, "kind", kind)
-
-    @classmethod
-    def goe(cls, spacing: float = 1.0) -> "SpectrumModel":
-        return cls(kind="goe", spacing=spacing)
-
-    @classmethod
-    def picket_fence(cls, spacing: float = 1.0) -> "SpectrumModel":
-        return cls(kind="picket-fence", spacing=spacing)
-
-    @property
-    def is_rigid(self) -> bool:
-        return self.kind == "picket-fence"
+def _model_name(model: str) -> str:
+    if model not in _MODELS:
+        raise ValueError(f"unknown spectrum model {model!r}")
+    return _MODELS[model]
 
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """Configuration of a velocity-sampling run."""
+    """Configuration of a velocity-sampling run; `model` is stored as its
+    canonical name, ``"goe"`` or ``"picket-fence"``."""
 
     n_levels: int
     n_channels: int
     realizations: int
     central_window: int
     seed: int
-    model: SpectrumModel
+    model: str
     route: str = "direct"
 
     def __post_init__(self):
+        object.__setattr__(self, "model", _model_name(self.model))
         route = {"direct-matrix": "direct"}.get(self.route, self.route)
         if route not in ("direct", "representation"):
             raise ValueError(f"unknown route {self.route!r}")
@@ -142,6 +123,11 @@ class EnsembleConfig:
         if not 0 <= self.seed < _MAX_SEED:
             raise ValueError("seed must be an unsigned 64-bit integer")
 
+    @property
+    def is_rigid(self) -> bool:
+        """Whether the spectrum is the rigid picket fence."""
+        return self.model == "picket-fence"
+
     def as_dict(self) -> dict:
         return {
             "n_levels": self.n_levels,
@@ -149,8 +135,7 @@ class EnsembleConfig:
             "realizations": self.realizations,
             "central_window": self.central_window,
             "seed": self.seed,
-            "model": self.model.kind,
-            "spacing": self.model.spacing,
+            "model": self.model,
             "route": self.route,
         }
 
@@ -215,23 +200,21 @@ class VelocitySampleSet:
 # ---------------------------------------------------------------------------
 
 
-def sample_goe(n: int, rng: np.random.Generator, spacing: float = 1.0) -> np.ndarray:
-    """Draw a real symmetric GOE matrix with central level spacing `spacing`.
+def sample_goe(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw a real symmetric GOE matrix with unit central level spacing.
 
     Off-diagonal entries are N(0, sigma^2) and diagonal entries
-    N(0, 2 sigma^2) with sigma^2 = n * spacing^2 / pi^2, which puts the
-    semicircle's mean spacing at the band center exactly at `spacing`.
+    N(0, 2 sigma^2) with sigma^2 = n / pi^2, which puts the semicircle's
+    mean spacing at the band center exactly at 1.
     """
     if n < 2:
         raise ValueError("need at least a 2x2 matrix")
-    sigma = math.sqrt(n) * spacing / math.pi
+    sigma = math.sqrt(n) / math.pi
     x = rng.standard_normal((n, n))
     return (x + x.T) * (sigma / math.sqrt(2.0))
 
 
-def _goe_tridiagonal(
-    n: int, rng: np.random.Generator, spacing: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _goe_tridiagonal(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of a symmetric tridiagonal matrix whose
     eigenvalues are those of a GOE matrix with the entry variances of
     :func:`sample_goe`: the tridiagonal beta = 1 model (Dumitriu & Edelman,
@@ -240,22 +223,22 @@ def _goe_tridiagonal(
     eigenvalue law as the dense matrix, at O(n) draws and an O(n^2) solve
     (LAPACK ``sterf``).
     """
-    sigma = math.sqrt(n) * spacing / math.pi
+    sigma = math.sqrt(n) / math.pi
     diag = (sigma * math.sqrt(2.0)) * rng.standard_normal(n)
     off = sigma * np.sqrt(rng.chisquare(np.arange(n - 1, 0, -1)))
     return diag, off
 
 
-def picket_fence_spectrum(n: int, spacing: float = 1.0) -> np.ndarray:
-    """Equidistant levels symmetric about zero: ``(k - (n+1)/2) * spacing``.
+def picket_fence_spectrum(n: int) -> np.ndarray:
+    """Unit-spaced levels symmetric about zero: ``k - (n+1)/2``, k = 1..n.
 
     Odd n places one level exactly at zero; even n has none (the two central
-    levels sit at +-spacing/2).
+    levels sit at +-1/2).
     """
     if n < 2:
         raise ValueError("need at least two levels")
     k = np.arange(1, n + 1, dtype=float)
-    return (k - 0.5 * (n + 1)) * spacing
+    return k - 0.5 * (n + 1)
 
 
 def sample_couplings(
@@ -319,16 +302,8 @@ def phi_pf_cdf(y):
     return out if out.ndim else float(out)
 
 
-def _kernel(model) -> tuple:
-    if isinstance(model, SpectrumModel):
-        kind = model.kind
-    else:
-        kind = {"pf": "picket-fence"}.get(str(model), str(model))
-    if kind == "goe":
-        return phi_goe, phi_goe_cdf
-    if kind == "picket-fence":
-        return phi_pf, phi_pf_cdf
-    raise ValueError(f"unknown spectrum model {model!r}")
+# the spectral kernel and its cdf of each model, by canonical name
+_KERNELS = {"goe": (phi_goe, phi_goe_cdf), "picket-fence": (phi_pf, phi_pf_cdf)}
 
 
 # Rule for the chi-square mixtures below.  The substitution kappa = t^2 turns
@@ -403,7 +378,7 @@ def velocity_pdf(y, m: int, model):
     rejected as singular rather than approximated.  Channel counts above
     :data:`MAX_CHANNELS` are refused.
     """
-    phi, _ = _kernel(model)
+    phi, _ = _KERNELS[_model_name(model)]
     if singular_points(y, m).any():
         raise ValueError("singular point: the single-channel density diverges at y=0")
     return _mixture(y, m, phi, weight_power=m - 2)
@@ -412,7 +387,7 @@ def velocity_pdf(y, m: int, model):
 def velocity_cdf(y, m: int, model):
     """Cumulative velocity distribution: the same chi-square mixture of the
     kernel's cdf, evaluated with the same fixed rule."""
-    _, kernel_cdf = _kernel(model)
+    _, kernel_cdf = _KERNELS[_model_name(model)]
     return _mixture(y, m, kernel_cdf, weight_power=m - 1)
 
 
@@ -538,7 +513,7 @@ def _run_realizations(
     workers run `solve` a few realizations ahead: the GIL-bound steps
     overlap the GIL-free ones instead of contending with them.
     """
-    if workers > 1 and config.n_levels < _MIN_THREADED_LEVELS[config.route, config.model.kind]:
+    if workers > 1 and config.n_levels < _MIN_THREADED_LEVELS[config.route, config.model]:
         workers, reason = 1, "realization too small for threads"
     else:
         workers, reason = max(1, workers), None
@@ -633,7 +608,7 @@ def sample_velocities_representation(
     Each realization draws a chi-square width factor kappa, a model spectrum,
     and independent standard normals z_m, v_m, and returns
 
-        y = (sqrt(kappa) / pi) * spacing * sum_m z_m v_m / (E_ref - E_m)
+        y = (sqrt(kappa) / pi) * sum_m z_m v_m / (E_ref - E_m)
 
     with the sum truncated to the `central_window` levels around the
     reference.  For the picket fence the reference sits at zero.  For GOE
@@ -659,7 +634,6 @@ def sample_velocities_representation(
     """
     if config.route != "representation":
         raise ValueError(f"config.route is {config.route!r}, expected 'representation'")
-    model = config.model
     window = config.central_window
     offsets = _window_offsets(window)
     deficit = _pf_truncation_deficit(offsets)
@@ -670,14 +644,14 @@ def sample_velocities_representation(
             TruncationWarning,
             stacklevel=2,
         )
-    pf_denominators = -offsets.astype(float) * model.spacing
+    pf_denominators = -offsets.astype(float)
     ref = (config.n_levels - 1) // 2
     neighbours = ref + offsets
 
     def velocity(rng, kappa: float, denom: np.ndarray) -> float:
         z = rng.standard_normal(window - 1)
         v = rng.standard_normal(window - 1)
-        return math.sqrt(kappa) / math.pi * model.spacing * float(np.sum(z * v / denom))
+        return math.sqrt(kappa) / math.pi * float(np.sum(z * v / denom))
 
     def one_pf(r: int) -> float:
         rng = substream(config.seed, r)
@@ -686,13 +660,13 @@ def sample_velocities_representation(
     def one_goe(r: int):
         rng = substream(config.seed, r)
         kappa = rng.chisquare(config.n_channels)
-        tridiagonal = _goe_tridiagonal(config.n_levels, rng, model.spacing)
+        tridiagonal = _goe_tridiagonal(config.n_levels, rng)
         return (
             lambda levels: velocity(rng, kappa, levels[ref] - levels[neighbours]),
             tridiagonal,
         )
 
-    if model.is_rigid:
+    if config.is_rigid:
         values, used, reason = _run_realizations(one_pf, config, workers)
     else:
         sterf, reason = _sterf_solver()
@@ -726,14 +700,14 @@ def sample_velocities_direct(
     perturbation W, evaluates the weak-coupling width velocity for the
     `central_window` levels nearest zero, and rescales each velocity by
 
-        n_levels * spacing / (2 pi)  /  (gamma_bar * sqrt(Tr W^2)).
+        n_levels / (2 pi)  /  (gamma_bar * sqrt(Tr W^2)).
 
     The first factor makes the rescaled velocity dimensionless against the
     local density of states, so that the samples follow the same
     distribution as the representation route; dividing by the realization's
     own Tr W^2 makes the result exactly invariant under rescaling of the
-    perturbation, and the choice of gamma_bar (internally 1e-3 spacing)
-    cancels identically.  Levels with a neighbor closer than 1e-8 spacing
+    perturbation, and the choice of gamma_bar (internally 1e-3 of the unit
+    spacing) cancels identically.  Levels with a neighbor closer than 1e-8
     are skipped and counted.
 
     After the GOE matrix (if any), a realization's substream gives the
@@ -778,15 +752,12 @@ def _sample_direct(
     if config.route != "direct":
         raise ValueError(f"config.route is {config.route!r}, expected 'direct'")
     configs = {m: replace(config, n_channels=m) for m in channels}
-    model = config.model
     n, window = config.n_levels, config.central_window
-    gamma_bar = WEAK_COUPLING_GAMMA * model.spacing
-    rescale_num = n * model.spacing / (2.0 * math.pi)
-    skip_tol = DEGENERACY_SKIP_TOL * model.spacing
+    gamma_bar = WEAK_COUPLING_GAMMA
     block_size = n * max(configs) + n * n
 
-    if model.is_rigid:
-        pf_levels = picket_fence_spectrum(n, model.spacing)
+    if config.is_rigid:
+        pf_levels = picket_fence_spectrum(n)
         pf_idx = _reference_levels(pf_levels, window)
         with np.errstate(divide="ignore"):
             pf_inv = 1.0 / (pf_levels[pf_idx, None] - pf_levels[None, :])
@@ -794,15 +765,15 @@ def _sample_direct(
 
     def one(r: int):
         rng = substream(config.seed, r)
-        if model.is_rigid:
+        if config.is_rigid:
             levels, idx, inv = pf_levels, pf_idx, pf_inv
             basis = None
         else:
-            levels, basis = np.linalg.eigh(sample_goe(n, rng, model.spacing))
+            levels, basis = np.linalg.eigh(sample_goe(n, rng))
             idx = _reference_levels(levels, window)
             diff = levels[idx, None] - levels[None, :]
             diff[np.arange(window), idx] = np.inf
-            keep_rows = np.abs(diff).min(axis=1) >= skip_tol
+            keep_rows = np.abs(diff).min(axis=1) >= DEGENERACY_SKIP_TOL
             inv = np.zeros_like(diff)
             np.divide(1.0, diff, out=inv, where=np.isfinite(diff))
             idx, inv = idx[keep_rows], inv[keep_rows]
@@ -823,7 +794,7 @@ def _sample_direct(
             # Tr pert^2 = sum(pert * pert), squared in place once w_rows is taken
             tr_sq = float(np.sum(np.multiply(pert, pert, out=pert)))
             gdot = 2.0 * np.sum(b_rows * w_rows * inv, axis=1)
-            ys[m] = gdot * (rescale_num / (gamma_bar * math.sqrt(tr_sq)))
+            ys[m] = gdot * (n / (2.0 * math.pi) / (gamma_bar * math.sqrt(tr_sq)))
         return ys, window - idx.size
 
     blas = _blas_thread_control()

@@ -32,8 +32,8 @@ from .perturbation import (
 )
 from .spectral import EffectiveHamiltonian, bell_steinberger, diagonalize
 from .statistics import (
+    _MAX_SEED,
     EnsembleConfig,
-    SpectrumModel,
     _blas_thread_control,
     _reference_levels,
     _sample_direct,
@@ -163,7 +163,7 @@ def rigid_samples(seed: int) -> dict:
     """
     config = EnsembleConfig(
         n_levels=250, n_channels=1, realizations=2000, central_window=25,
-        seed=seed, model=SpectrumModel.picket_fence(), route="direct",
+        seed=seed, model="picket-fence", route="direct",
     )
     return _sample_direct(config, RIGID_CHANNELS, workers=_usable_cores())
 
@@ -453,8 +453,8 @@ def _goe_spacing(source, matrices):
 def _rigid_second_moment(config: EnsembleConfig) -> float:
     """Exact E[y^2] of the picket-fence direct route at finite N.
 
-    With d_k = (E_n - E_k) / spacing, a reference level's velocity is
-    y = N / (2 pi gamma_bar) * 2 sum_k B_nk W_nk / d_k / sqrt(Tr W^2).
+    With the unit-spaced gaps d_k = E_n - E_k, a reference level's velocity
+    is y = N / (2 pi gamma_bar) * 2 sum_k B_nk W_nk / d_k / sqrt(Tr W^2).
     Cross terms vanish by sign symmetry, B is independent of W, and
     E[B_nk^2] = M gamma_bar^2.  Tr W^2 is 2 chi^2 with K = N (N+1) / 2
     degrees of freedom, so E[W_nk^2 / Tr W^2] = 1 / (N (N+1)) exactly.
@@ -506,12 +506,11 @@ def _route_equivalence(seed, size):
     direct_realizations, rep_realizations = size
     cfg_direct = EnsembleConfig(
         n_levels=250, n_channels=2, realizations=direct_realizations,
-        central_window=25, seed=seed, model=SpectrumModel.picket_fence(),
-        route="direct",
+        central_window=25, seed=seed, model="picket-fence", route="direct",
     )
     cfg_rep = EnsembleConfig(
         n_levels=250, n_channels=2, realizations=rep_realizations,
-        central_window=25, seed=seed + 1, model=SpectrumModel.picket_fence(),
+        central_window=25, seed=(seed + 1) % _MAX_SEED, model="picket-fence",
         route="representation",
     )
     direct = sample_velocities_direct(cfg_direct, workers=_usable_cores())
@@ -530,13 +529,13 @@ def _thread_determinism(seed, size):
     pf_realizations, goe_realizations = size
     cfg = EnsembleConfig(
         n_levels=250, n_channels=1, realizations=pf_realizations, central_window=25,
-        seed=seed, model=SpectrumModel.picket_fence(), route="direct",
+        seed=seed, model="picket-fence", route="direct",
     )
     identical = np.array_equal(sample_velocities_direct(cfg, workers=1).values,
                                sample_velocities_direct(cfg, workers=3).values)
     blas = _blas_thread_control()
     if blas is not None:
-        cfg = replace(cfg, realizations=goe_realizations, model=SpectrumModel.goe())
+        cfg = replace(cfg, realizations=goe_realizations, model="goe")
         previous = blas.get()
         try:
             blas.set(1)
@@ -590,10 +589,13 @@ def run_checks(level: str = "fast", seed: int = 7) -> list[CheckResult]:
     reported as failed under ``<name>.raised``.  Each result's ``seconds``
     is the wall time of its check; the first ``rigid`` check's includes
     drawing the shared sample sets.  The ``rigid`` checks' results carry
-    the sets' ``runtime``.
+    the sets' ``runtime``.  An unknown level, or a seed outside
+    [0, 2**64), raises ``ValueError`` before any check runs.
     """
     if level not in ("fast", "full"):
         raise ValueError(f"unknown verification level {level!r}")
+    if not 0 <= seed < _MAX_SEED:
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
     shared = cache(lambda: rigid_samples(seed))  # drawn once, for this call only
     results = []
     for check in CHECKS.values():

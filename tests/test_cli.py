@@ -621,7 +621,9 @@ _ENSEMBLE_ARGS = ["ensemble", "--model", "goe", "--n", "20", "--m", "2",
     (["two-level", "critical-points", *FIG_ARGS, "--bracket-min", "-2",
       "--bracket-max", "2", "--scan-points", "-1"],
      "Error: scan-points must be >= 3, got -1"),
-], ids=["bins", "range-max", "scan-points"])
+    (["verify", "full", "--seed", "-1"],
+     "Error: seed must be an unsigned 64-bit integer, got -1"),
+], ids=["bins", "range-max", "scan-points", "verify-seed"])
 def test_out_of_range_option(args, error, tmp_path):
     # refused on one line as a usage error, not a numpy traceback or a
     # numerical failure (exit 2)

@@ -14,7 +14,6 @@ from scipy.stats import ks_2samp, kstest
 
 from resodyn import (
     EnsembleConfig,
-    SpectrumModel,
     TruncationWarning,
     compare_histogram,
     large_m_limit_pf,
@@ -44,7 +43,7 @@ from resodyn.statistics import (
 def pf_config(m=1, realizations=200, window=25, seed=7, route="direct", n=250):
     return EnsembleConfig(
         n_levels=n, n_channels=m, realizations=realizations, central_window=window,
-        seed=seed, model=SpectrumModel.picket_fence(), route=route,
+        seed=seed, model="picket-fence", route=route,
     )
 
 
@@ -52,14 +51,14 @@ def goe_representation_config(realizations=30, seed=17):
     """Large enough (N=120) for the GOE representation route to use threads."""
     return EnsembleConfig(
         n_levels=120, n_channels=2, realizations=realizations, central_window=25,
-        seed=seed, model=SpectrumModel.goe(), route="representation",
+        seed=seed, model="goe", route="representation",
     )
 
 
 def goe_direct_config(realizations=40, seed=5):
     return EnsembleConfig(
         n_levels=120, n_channels=2, realizations=realizations, central_window=25,
-        seed=seed, model=SpectrumModel.goe(), route="direct",
+        seed=seed, model="goe", route="direct",
     )
 
 
@@ -68,7 +67,7 @@ def _replay_direct_realization(cfg, r):
     through the reference formula: (H if GOE,) then A, then x."""
     n, m, gamma_bar = cfg.n_levels, cfg.n_channels, statistics.WEAK_COUPLING_GAMMA
     gen = substream(cfg.seed, r)
-    if cfg.model.is_rigid:
+    if cfg.is_rigid:
         levels, basis = picket_fence_spectrum(n), np.eye(n)
     else:
         levels, basis = np.linalg.eigh(sample_goe(n, gen))
@@ -108,22 +107,20 @@ class TestEnsembles:
         assert abs(np.mean(gaps) - 1.0) <= 0.02
 
     def test_tridiagonal_center_spacing(self):
-        # same normalization as the dense matrix: the mean central gap is
-        # `spacing`, checked at a non-unit spacing
-        spacing = 0.5
+        # same normalization as the dense matrix: the mean central gap is 1
         gaps = [
             np.diff(eigvalsh_tridiagonal(
-                *_goe_tridiagonal(250, substream(31, r), spacing))[self.CENTRAL])
+                *_goe_tridiagonal(250, substream(31, r)))[self.CENTRAL])
             for r in range(100)
         ]
-        assert abs(np.mean(gaps) / spacing - 1.0) <= 0.02
+        assert abs(np.mean(gaps) - 1.0) <= 0.02
 
     def test_tridiagonal_spacings_match_dense_goe(self, rng):
         # central nearest-neighbour spacings of the tridiagonal model and of
         # the dense matrix follow one law
         tri = np.concatenate([
             np.diff(eigvalsh_tridiagonal(
-                *_goe_tridiagonal(250, substream(32, r), 1.0))[self.CENTRAL])
+                *_goe_tridiagonal(250, substream(32, r)))[self.CENTRAL])
             for r in range(300)
         ])
         dense = np.concatenate([
@@ -133,7 +130,7 @@ class TestEnsembles:
         assert ks_2samp(tri, dense).pvalue >= 0.01
 
     def test_picket_fence_small(self):
-        np.testing.assert_array_equal(picket_fence_spectrum(3, 1.0), [-1.0, 0.0, 1.0])
+        np.testing.assert_array_equal(picket_fence_spectrum(3), [-1.0, 0.0, 1.0])
 
     def test_picket_fence_zero_level_convention(self):
         odd = picket_fence_spectrum(251)
@@ -351,7 +348,7 @@ class TestLargeChannelLimit:
 class TestRepresentationRoute:
     def test_reproduces_documented_stream_layout(self):
         # one realization = (kappa, z, v) from the keyed substream; the
-        # sample is sqrt(kappa)/pi * spacing * sum z v / (E_ref - E_m)
+        # sample is sqrt(kappa)/pi * sum z v / (E_ref - E_m)
         cfg = pf_config(m=3, realizations=5, window=25, seed=123, route="representation")
         got = sample_velocities_representation(cfg).values
         offsets = _window_offsets(25)
@@ -367,14 +364,14 @@ class TestRepresentationRoute:
         # GOE realization = (kappa, diagonal, off-diagonal, z, v); the
         # reference is the level of index (n - 1) // 2 of the tridiagonal
         # beta = 1 spectrum
-        n, window, spacing = 40, 9, 0.7
+        n, window = 40, 9
         cfg = EnsembleConfig(
             n_levels=n, n_channels=2, realizations=5, central_window=window,
-            seed=321, model=SpectrumModel.goe(spacing), route="representation",
+            seed=321, model="goe", route="representation",
         )
         with pytest.warns(TruncationWarning):
             got = sample_velocities_representation(cfg).values
-        sigma = math.sqrt(n) * spacing / math.pi
+        sigma = math.sqrt(n) / math.pi
         ref = (n - 1) // 2
         for r in range(5):
             gen = substream(321, r)
@@ -385,18 +382,18 @@ class TestRepresentationRoute:
             v = gen.standard_normal(window - 1)
             levels = eigvalsh_tridiagonal(d, e, lapack_driver="sterf", check_finite=False)
             denom = levels[ref] - levels[ref + _window_offsets(window)]
-            expected = math.sqrt(kappa) / math.pi * spacing * float(np.sum(z * v / denom))
+            expected = math.sqrt(kappa) / math.pi * float(np.sum(z * v / denom))
             assert got[r] == expected
 
     def test_goe_reference_gaps_are_not_size_biased(self):
-        # the gaps next to the fixed-index reference have mean `spacing`;
+        # the gaps next to the fixed-index reference have mean 1;
         # the level nearest zero would sit next to gaps about 10% wider
         n = 250
         ref = (n - 1) // 2
         sterf = statistics._gil_free_sterf()
         gaps = np.empty(4000)
         for r in range(gaps.size):
-            levels = sterf(*_goe_tridiagonal(n, substream(2024, r), 1.0))
+            levels = sterf(*_goe_tridiagonal(n, substream(2024, r)))
             gaps[r] = 0.5 * (levels[ref + 1] - levels[ref - 1])
         se = gaps.std() / math.sqrt(gaps.size)
         assert abs(gaps.mean() - 1.0) <= 3 * se
@@ -429,7 +426,7 @@ class TestRepresentationRoute:
     def test_goe_spectrum_route(self):
         cfg = EnsembleConfig(
             n_levels=60, n_channels=2, realizations=300, central_window=9,
-            seed=5, model=SpectrumModel.goe(), route="representation",
+            seed=5, model="goe", route="representation",
         )
         with pytest.warns(TruncationWarning):
             samples = sample_velocities_representation(cfg)
@@ -440,7 +437,7 @@ class TestRepresentationRoute:
     def test_goe_window_may_span_the_spectrum(self, n):
         cfg = EnsembleConfig(
             n_levels=n, n_channels=1, realizations=20, central_window=n,
-            seed=4, model=SpectrumModel.goe(), route="representation",
+            seed=4, model="goe", route="representation",
         )
         samples = sample_velocities_representation(cfg)
         assert samples.n_samples == 20
@@ -452,7 +449,7 @@ class TestRepresentationRoute:
 
     @pytest.mark.parametrize("model", ["goe", "pf"])
     def test_workers_do_not_change_the_samples(self, model, monkeypatch):
-        cfg = replace(goe_representation_config(), model=SpectrumModel(model))
+        cfg = replace(goe_representation_config(), model=model)
         runs = {w: sample_velocities_representation(cfg, workers=w) for w in (1, 2, 3)}
         # the same route with scipy's own tridiagonal solver
         monkeypatch.setattr(
@@ -584,7 +581,7 @@ class TestDirectRoute:
         pert = (x + x.T) / math.sqrt(2.0)
         tr_sq = float(np.sum(pert * pert))
         gdot = 2.0 * np.sum((a[idx] @ a.T) * pert[idx] * inv, axis=1)
-        expected = gdot * (n * 1.0 / (2.0 * math.pi) / (gamma_bar * math.sqrt(tr_sq)))
+        expected = gdot * (n / (2.0 * math.pi) / (gamma_bar * math.sqrt(tr_sq)))
         assert got.shape == expected.shape and np.all(got == expected)
 
     def test_goe_stream_matches_the_weak_coupling_formula(self):
@@ -593,7 +590,7 @@ class TestDirectRoute:
         n, m, window, seed = 120, 2, 15, 3
         cfg = EnsembleConfig(
             n_levels=n, n_channels=m, realizations=2, central_window=window,
-            seed=seed, model=SpectrumModel.goe(), route="direct",
+            seed=seed, model="goe", route="direct",
         )
         samples = sample_velocities_direct(cfg)
         np.testing.assert_array_equal(samples.counts, [window, window])
@@ -664,7 +661,7 @@ class TestDirectRoute:
     def test_goe_model_runs(self):
         cfg = EnsembleConfig(
             n_levels=120, n_channels=2, realizations=100, central_window=15,
-            seed=3, model=SpectrumModel.goe(), route="direct",
+            seed=3, model="goe", route="direct",
         )
         samples = sample_velocities_direct(cfg)
         assert samples.n_samples + samples.skipped_levels == 100 * 15
@@ -683,8 +680,7 @@ class TestDirectRoute:
         assert ks_2samp(direct.values, rep.values).pvalue >= 0.01
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("model", [SpectrumModel.picket_fence(), SpectrumModel.goe()],
-                             ids=["pf", "goe"])
+    @pytest.mark.parametrize("model", ["picket-fence", "goe"], ids=["pf", "goe"])
     def test_shared_draw_matches_single_channel_calls(self, model, workers, monkeypatch):
         # N=40 is below the size where threads pay; run them anyway
         for key in statistics._MIN_THREADED_LEVELS:
@@ -723,13 +719,26 @@ class TestDirectRoute:
         with pytest.raises(ValueError, match="route"):
             EnsembleConfig(
                 n_levels=10, n_channels=1, realizations=1, central_window=5,
-                seed=0, model=SpectrumModel.picket_fence(), route="bogus",
+                seed=0, model="picket-fence", route="bogus",
             )
         alias = EnsembleConfig(
             n_levels=10, n_channels=1, realizations=1, central_window=5,
-            seed=0, model=SpectrumModel.picket_fence(), route="direct-matrix",
+            seed=0, model="picket-fence", route="direct-matrix",
         )
         assert alias.route == "direct"
+
+
+@pytest.mark.parametrize("build", [
+    lambda model: EnsembleConfig(n_levels=10, n_channels=1, realizations=1,
+                                 central_window=5, seed=0, model=model),
+    lambda model: velocity_pdf(0.5, 2, model),
+    lambda model: velocity_cdf(0.5, 2, model),
+], ids=["config", "pdf", "cdf"])
+def test_model_vocabulary(build):
+    # "goe" and "picket-fence", alias "pf"; anything else is refused by name
+    with pytest.raises(ValueError, match="unknown spectrum model 'bogus'"):
+        build("bogus")
+    assert build("pf") == build("picket-fence")
 
 
 class TestCompareHistogram:
@@ -796,7 +805,7 @@ class TestCompareHistogram:
 
         samples = sample_velocities_representation(EnsembleConfig(
             n_levels=50, n_channels=m, realizations=2000, central_window=25,
-            seed=40 + m, model=SpectrumModel(model), route="representation",
+            seed=40 + m, model=model, route="representation",
         ))
         cdf = partial(velocity_cdf, m=m, model=model)
         report = compare_histogram(samples, partial(velocity_pdf, m=m, model=model), cdf=cdf,
@@ -872,9 +881,9 @@ class TestBlasPinning:
     def test_pinned_while_sampling_and_restored(self, blas, monkeypatch):
         seen = []
 
-        def spy(n, rng, spacing=1.0):
+        def spy(n, rng):
             seen.append(blas.get())
-            return sample_goe(n, rng, spacing)
+            return sample_goe(n, rng)
 
         monkeypatch.setattr(statistics, "sample_goe", spy)
         before = blas.get()

@@ -117,10 +117,19 @@ def test_direct_draws_use_every_core(monkeypatch, cores):
     assert calls == [((1, 2, 5, 10), 2000, workers), (2, 300, workers)]
 
 
+def test_route_equivalence_at_the_largest_seed(monkeypatch):
+    # the representation set takes the next seed, which wraps to 0
+    seeds, draw = [], verify.sample_velocities_representation
+    monkeypatch.setattr(verify, "sample_velocities_representation",
+                        lambda config: seeds.append(config.seed) or draw(config))
+    p_value, _ = verify._route_equivalence(2**64 - 1, (4, 100))
+    assert seeds == [0] and 0.0 <= p_value <= 1.0
+
+
 def _pf_config(n, window, m=3, realizations=1, seed=0):
     return statistics.EnsembleConfig(
         n_levels=n, n_channels=m, realizations=realizations, central_window=window,
-        seed=seed, model=statistics.SpectrumModel.picket_fence(), route="direct",
+        seed=seed, model="picket-fence", route="direct",
     )
 
 
@@ -168,7 +177,7 @@ def test_thread_determinism_varies_the_ambient_blas_count(blas_control, monkeypa
     seen = []
 
     def spy(config, *, workers):
-        seen.append((config.model.kind, workers, blas_control.get()))
+        seen.append((config.model, workers, blas_control.get()))
         return sample_velocities_direct(config, workers=workers)
 
     monkeypatch.setattr(verify, "sample_velocities_direct", spy)
@@ -182,7 +191,7 @@ def test_thread_determinism_varies_the_ambient_blas_count(blas_control, monkeypa
 
 def test_thread_determinism_restores_the_blas_count(blas_control, monkeypatch):
     def failing(config, *, workers):
-        if config.model.kind == "goe":
+        if config.model == "goe":
             raise RuntimeError("draw failed")
         return SimpleNamespace(values=np.zeros(3))
 
@@ -196,7 +205,7 @@ def test_thread_determinism_without_blas_control(monkeypatch):
     kinds = []
 
     def spy(config, *, workers):
-        kinds.append(config.model.kind)
+        kinds.append(config.model)
         return sample_velocities_direct(config, workers=workers)
 
     monkeypatch.setattr(verify, "_blas_thread_control", lambda: None)
