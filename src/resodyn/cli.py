@@ -176,7 +176,8 @@ def _require(ctx: click.Context, *names: str):
     """Enforce presence after config merging (flags are lazily required)."""
     missing = [n for n in names if ctx.params.get(n) is None]
     if missing:
-        flags = ", ".join("--" + n.replace("_", "-") for n in missing)
+        opts = {q.name: q.opts[0] for q in ctx.command.params}
+        flags = ", ".join(opts[n] for n in missing)
         raise click.UsageError(f"missing required option(s): {flags}")
 
 
@@ -197,7 +198,7 @@ def _build_two_level(delta, d, v, gamma1, gamma2, theta, alpha=0.0) -> TwoLevelP
             delta=delta, gamma1=gamma1, gamma2=gamma2, theta=theta, d=d, v=v, alpha=alpha
         )
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise click.ClickException(str(exc))
 
 
 # flags are validated after --config merging, so none are parse-time required
@@ -256,9 +257,9 @@ def cmd_two_level_sweep(ctx, delta, d, v, gamma1, gamma2, theta,
     p = ctx.params
     params = _build_two_level(p["delta"], p["d"], p["v"], p["gamma1"], p["gamma2"], p["theta"])
     if p["steps"] < 1:
-        raise click.UsageError("steps must be >= 1")
+        raise click.ClickException("steps must be >= 1")
     if p["steps"] > 1 and not p["alpha_max"] > p["alpha_min"]:
-        raise click.UsageError("alpha-max must exceed alpha-min for steps > 1")
+        raise click.ClickException("alpha-max must exceed alpha-min for steps > 1")
     grid = np.linspace(p["alpha_min"], p["alpha_max"], p["steps"])
     table = sweep(params, grid)
     cfg = {
@@ -372,7 +373,7 @@ def cmd_ensemble(ctx, model, n_levels, n_channels, realizations, window, route, 
             route=p["route"],
         )
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise click.ClickException(str(exc))
     _check_channel_count(cfg.n_channels)
     if p["bins"] < 1:
         raise click.ClickException(f"bins must be >= 1, got {p['bins']}")
@@ -398,7 +399,7 @@ def cmd_ensemble(ctx, model, n_levels, n_channels, realizations, window, route, 
     projected = workers * per_worker + shared
     if projected > cap:
         # rounded up, so it never reads as the cap it exceeds
-        raise click.UsageError(
+        raise click.ClickException(
             f"projected memory {math.ceil(projected / 2**20)} MiB exceeds the "
             f"--max-memory-mb cap of {p['max_memory_mb']}"
         )
@@ -462,15 +463,15 @@ def cmd_dist(ctx, model, n_channels, y, y_min, y_max, steps, output, config):
     p = ctx.params
     m = p["n_channels"]
     if m < 1:
-        raise click.UsageError("m must be >= 1")
+        raise click.ClickException("m must be >= 1")
     _check_channel_count(m)
     if p["steps"] < 1:
-        raise click.UsageError("steps must be >= 1")
+        raise click.ClickException("steps must be >= 1")
     if p["y"] is not None:
         grid = np.array([p["y"]])
     else:
         if p["steps"] > 1 and not p["y_max"] > p["y_min"]:
-            raise click.UsageError("y-max must exceed y-min for steps > 1")
+            raise click.ClickException("y-max must exceed y-min for steps > 1")
         grid = np.linspace(p["y_min"], p["y_max"], p["steps"])
     # the header names the picket fence "pf", whichever name was given
     kind = "goe" if p["model"] == "goe" else "pf"

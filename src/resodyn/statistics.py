@@ -43,7 +43,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import chdtrc, gammaln
 
 from .errors import TruncationWarning
 
@@ -352,8 +351,9 @@ def _mixture(y, m: int, kernel, weight_power: int):
         raise ValueError(f"channel count m={m} is too large; at most {MAX_CHANNELS}")
     # node weights step * 2 t^p exp(-t^2/2) dt/du / (2^(m/2) Gamma(m/2));
     # p = weight_power = m-2 carries the extra 1/sqrt(kappa) of the density
-    # mixture, m-1 is the plain chi-square weight of the cumulative mixture
-    log_norm = math.log(2.0 * _RULE_STEP) - 0.5 * m * math.log(2.0) - gammaln(0.5 * m)
+    # mixture, m-1 is the plain chi-square weight of the cumulative mixture;
+    # log Gamma(m/2) comes from math.lgamma, so the curves need no scipy
+    log_norm = math.log(2.0 * _RULE_STEP) - 0.5 * m * math.log(2.0) - math.lgamma(0.5 * m)
     w = np.exp(weight_power * _RULE_LOG_T + _RULE_LOG_BASE + log_norm)
     if w[-1] > 0.0:
         raise ValueError(f"channel count m={m} is too large for the mixture rule")
@@ -901,9 +901,10 @@ def compare_histogram(samples, pdf, *, cdf, singular=None) -> FitReport:
 
     The chi-square statistic uses 40 equal-probability bins (edges are
     quantiles of `cdf`); at the 1000 samples required at least, each bin
-    expects 25.  The p-value is the chi-square survival function from
-    ``scipy.special`` (``chdtrc``, which ``scipy.stats.chi2.sf`` calls) at
-    39 degrees of freedom, so the fit does not import ``scipy.stats``.  The
+    expects 25.  The p-value is the chi-square survival function
+    ``scipy.special.chdtrc`` (which ``scipy.stats.chi2.sf`` calls) at 39
+    degrees of freedom.  It is imported in this function, so the fit does
+    not import ``scipy.stats`` and the CLI start-up imports no scipy.  The
     sup-norm compares a density binned into 61 equal-width bins over the
     central 99% of the samples against the pdf at the bin centers; the same
     binning is exposed for plotting.
@@ -913,6 +914,8 @@ def compare_histogram(samples, pdf, *, cdf, singular=None) -> FitReport:
     :func:`velocity_pdf`): their bin centers get a NaN density and stay out
     of the sup-norm.
     """
+    from scipy.special import chdtrc  # keeps scipy off the CLI import
+
     values = samples.values if isinstance(samples, VelocitySampleSet) else np.asarray(samples, dtype=float)
     n = values.size
     if n < 1000:

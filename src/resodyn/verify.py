@@ -21,7 +21,6 @@ from functools import cache, partial
 from typing import Callable
 
 import numpy as np
-from scipy.special import chdtr
 
 from .perturbation import (
     InteriorPerturbation,
@@ -411,6 +410,7 @@ def _kernel_fourier(source, size):
 
 
 def _coupling_widths(source, entries):
+    from scipy.special import chdtr  # keeps scipy off the CLI import
     from scipy.stats import kstest  # full level only; keeps it off the CLI import
 
     rng = np.random.default_rng(source)

@@ -120,6 +120,8 @@ class TestSweepCommand:
     def test_missing_flag_exit_one(self, runner):
         result = runner.invoke(main, ["two-level", "sweep", "--delta", "1"])
         assert result.exit_code == 1
+        # named by the flags the user types
+        assert "missing required option(s): --d, --v, --gamma1," in result.output
 
     def test_config_file_merging(self, runner, tmp_path):
         config = tmp_path / "run.json"
@@ -533,10 +535,6 @@ class TestVerifyCommand:
         assert check["value"] is None and check["tolerance"] == [1.0, None]
 
 
-# scipy modules that only some commands use, loaded on first use
-_DEFERRED_SCIPY = ("scipy.optimize", "scipy.integrate", "scipy.linalg", "scipy.stats")
-
-
 def _fresh_env() -> dict:
     """The environment of a fresh interpreter that imports this checkout's resodyn."""
     src = Path(cli.__file__).resolve().parents[1]
@@ -545,18 +543,18 @@ def _fresh_env() -> dict:
 
 
 def _loaded_after(code: str) -> list[str]:
-    """The deferred scipy modules loaded after running `code` in a fresh interpreter."""
+    """The scipy modules loaded after running `code` in a fresh interpreter."""
     probe = (f"{code}\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules "
-             f"if '.'.join(m.split('.')[:2]) in {_DEFERRED_SCIPY!r})))")
+             f"if m.split('.')[0] == 'scipy')))")
     done = subprocess.run([sys.executable, "-c", probe],
                           env=_fresh_env(), capture_output=True, text=True, timeout=120, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("module", ["resodyn.cli", "resodyn.verify"])
+@pytest.mark.parametrize("module", ["resodyn", "resodyn.cli", "resodyn.verify"])
 def test_import_leaves_scipy_stats_unloaded(module):
-    # start-up loads numpy, click and scipy.special only; scipy.stats alone
-    # is about a third of the rest
+    # start-up loads numpy and click only; each scipy module is imported
+    # inside the function that uses it
     assert _loaded_after(f"import {module}") == []
 
 
@@ -564,7 +562,11 @@ def test_import_leaves_scipy_stats_unloaded(module):
     ["dist", "--model", "pf", "--m", "1", "--steps", "41"],
     ["two-level", "sweep", *FIG_ARGS, "--alpha-min", "-2", "--alpha-max", "2",
      "--steps", "801"],
-], ids=["dist", "two-level-sweep"])
+    ["ensemble", "--model", "pf", "--route", "direct", "--n", "40", "--m", "2",
+     "--realizations", "4", "--window", "5", "--seed", "3"],
+    ["ensemble", "--model", "goe", "--route", "direct", "--n", "40", "--m", "2",
+     "--realizations", "4", "--window", "5", "--seed", "3"],
+], ids=["dist", "two-level-sweep", "ensemble-pf-direct", "ensemble-goe-direct"])
 def test_command_leaves_deferred_scipy_unloaded(args, tmp_path):
     # standalone_mode=False: a failing command raises, and the probe exits non-zero
     out = tmp_path / "out.csv"
@@ -623,10 +625,18 @@ _ENSEMBLE_ARGS = ["ensemble", "--model", "goe", "--n", "20", "--m", "2",
      "Error: scan-points must be >= 3, got -1"),
     (["verify", "full", "--seed", "-1"],
      "Error: seed must be an unsigned 64-bit integer, got -1"),
-], ids=["bins", "range-max", "scan-points", "verify-seed"])
+    ([*_ENSEMBLE_ARGS, "--seed", "-1"], "Error: seed must be an unsigned 64-bit integer"),
+    ([*_ENSEMBLE_ARGS, "--m", "0"], "Error: need at least one channel"),
+    (["dist", "--model", "pf", "--m", "0"], "Error: m must be >= 1"),
+    (["two-level", "sweep", "--delta", "1", "--d", "1", "--v", "0.75",
+      "--gamma1", "-0.5", "--gamma2", "0.5", "--theta", "0.3",
+      "--alpha-min", "0", "--alpha-max", "1", "--steps", "3"],
+     "Error: partial width sums gamma1, gamma2 must be nonnegative"),
+], ids=["bins", "range-max", "scan-points", "verify-seed", "ensemble-seed", "ensemble-m",
+        "dist-m", "two-level-gamma"])
 def test_out_of_range_option(args, error, tmp_path):
-    # refused on one line as a usage error, not a numpy traceback or a
-    # numerical failure (exit 2)
+    # refused on one Error: line, without the usage lines, and not as a
+    # numpy traceback or a numerical failure (exit 2)
     refused = subprocess.run(
         [sys.executable, "-m", "resodyn.cli", *args, "-o", str(tmp_path / "out")],
         env=_fresh_env(), capture_output=True, text=True, timeout=120)

@@ -297,6 +297,23 @@ class TestMixtureRuleOracle:
             ref_cdf = adaptive_mixture(y, m, kernel_cdf, m - 1, epsabs=1e-14, epsrel=1e-12)
             assert abs(c - ref_cdf) <= 1e-12, (y, c, ref_cdf)
 
+    @pytest.mark.parametrize("model", ["pf", "goe"])
+    def test_lgamma_normalization_matches_gammaln(self, model, monkeypatch):
+        # the rule takes log Gamma(m/2) from math.lgamma, which keeps scipy
+        # off the import; scipy's gammaln gives the same curve to the bit at
+        # M=2 and to the last bits elsewhere
+        ys = np.array([-50.0, -1.0, -0.01, 0.01, 0.3, 1.0, 10.0, 70.0, 500.0])
+        ms = (1, 2, 5, 10, 4999)
+        ours = {m: (velocity_pdf(ys, m, model), velocity_cdf(ys, m, model)) for m in ms}
+        monkeypatch.setattr(math, "lgamma", lambda x: float(gammaln(x)))
+        for m in ms:
+            pdf, cdf = velocity_pdf(ys, m, model), velocity_cdf(ys, m, model)
+            if m == 2:
+                assert np.array_equal(ours[m][0], pdf) and np.array_equal(ours[m][1], cdf)
+            else:
+                np.testing.assert_allclose(ours[m][0], pdf, rtol=1e-14, atol=0.0)
+                np.testing.assert_allclose(ours[m][1], cdf, rtol=1e-14, atol=0.0)
+
     def test_scalar_in_float_out(self):
         grid = velocity_pdf(np.array([0.3, 2.0]), 2, "goe")
         assert isinstance(velocity_pdf(2.0, 2, "goe"), float)
