@@ -21,10 +21,11 @@ limit, and a chi-square goodness-of-fit report for sample/curve comparison.
 Both routes draw every realization from its own counter-based RNG substream
 keyed by (seed, realization index), so their results are bit-identical for
 any number of workers and on any host.  Both may spread their realizations
-over threads, where a realization is large enough for that to pay.  The
-direct route runs them with numpy's OpenBLAS pinned to one thread, because
-BLAS results depend in the last bits on the BLAS thread count.  The GOE
-representation route solves its tridiagonal spectra with LAPACK ``sterf``
+over threads, where a realization is large enough for that to pay, if
+numpy links OpenBLAS; without it they run serially.  The direct route runs
+them with that OpenBLAS pinned to one thread, because BLAS results depend
+in the last bits on the BLAS thread count.  The GOE representation route
+solves its tridiagonal spectra with that OpenBLAS's LAPACK ``sterf``,
 called through ctypes, which releases the GIL for the call; the
 picket-fence representation route has no GIL-free work and runs serially.
 """
@@ -37,7 +38,6 @@ import ctypes
 import functools
 import math
 import os
-import re
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -421,25 +421,34 @@ def _pf_truncation_deficit(offsets: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class _BlasThreads:
+class _OpenBLAS:
     vendor: str
     get: Callable[[], int]
     set: Callable[[int], None]
+    sterf: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-# exported names of OpenBLAS as (prefix, suffix): numpy 2's scipy-openblas
-# build renames the plain OpenBLAS symbols
-_OPENBLAS_NAMES = (("scipy_openblas", "64_"), ("openblas", ""))
+# exported names of OpenBLAS, as the (prefix, suffix) of its own functions
+# and the name of LAPACK dsterf: numpy 2's scipy-openblas build renames them
+_OPENBLAS_NAMES = (("scipy_openblas", "64_", "scipy_dsterf_64_"), ("openblas", "", "dsterf_"))
+
+# why the direct and GOE representation routes run serially
+_NO_OPENBLAS = "numpy's OpenBLAS not found"
 
 
 @functools.cache
-def _blas_thread_control() -> _BlasThreads | None:
-    """Thread-count getter and setter of the OpenBLAS that numpy links, or
-    None when they cannot be found.
+def _openblas() -> _OpenBLAS | None:
+    """The OpenBLAS that numpy links: its vendor and version, its
+    thread-count getter and setter, and its LAPACK ``dsterf``; None when
+    they cannot all be found.
 
     Looked up once, on first use, through the handle of numpy's own
     extension module: symbol lookup on a handle also searches the libraries
-    it links, so no library path is guessed.
+    it links, so no library path is guessed.  ``sterf(diag, off)`` takes
+    writable C-contiguous float64 arrays of the diagonal and the
+    off-diagonal, overwrites both, and returns the diagonal array holding
+    the ascending eigenvalues.  ctypes releases the GIL for the call, so
+    spectra can be solved on threads.
     """
     try:
         from numpy._core import _multiarray_umath as umath
@@ -449,24 +458,45 @@ def _blas_thread_control() -> _BlasThreads | None:
         lib = ctypes.CDLL(umath.__file__)
     except OSError:
         return None
-    for prefix, suffix in _OPENBLAS_NAMES:
+    for prefix, suffix, dsterf in _OPENBLAS_NAMES:
         try:
             get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
             set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
             config = getattr(lib, f"{prefix}_get_config{suffix}")
+            call = getattr(lib, dsterf)
         except AttributeError:
             continue
         get.argtypes, get.restype = [], ctypes.c_int
         set_.argtypes, set_.restype = [ctypes.c_int], None
         config.argtypes, config.restype = [], ctypes.c_char_p
-        # the config string starts with "OpenBLAS <version>"
-        vendor = " ".join(config().decode().split()[:2])
-        return _BlasThreads(vendor, get, set_)
+        # "OpenBLAS <version> <build options>"; a USE64BITINT build takes
+        # 64-bit LAPACK integers
+        build = config().decode().split()
+        lapack_int = ctypes.c_int64 if "USE64BITINT" in build else ctypes.c_int
+        int_p = ctypes.POINTER(lapack_int)
+        call.argtypes, call.restype = [int_p, ctypes.c_void_p, ctypes.c_void_p, int_p], None
+
+        def sterf(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+            # LAPACK reads n doubles from diag and n - 1 from off, in place
+            for a in (diag, off):
+                if a.dtype != np.float64 or a.ndim != 1 or not a.flags.c_contiguous \
+                        or not a.flags.writeable:
+                    raise ValueError("sterf needs writable contiguous 1-D float64 arrays")
+            if not 0 < diag.size == off.size + 1:
+                raise ValueError(f"sterf needs n >= 1 diagonal and n - 1 off-diagonal "
+                                 f"entries, got {diag.size} and {off.size}")
+            n, info = lapack_int(diag.size), lapack_int(0)
+            call(ctypes.byref(n), diag.ctypes.data, off.ctypes.data, ctypes.byref(info))
+            if info.value:
+                raise np.linalg.LinAlgError(f"sterf failed with info={info.value}")
+            return diag
+
+        return _OpenBLAS(" ".join(build[:2]), get, set_, sterf)
     return None
 
 
 def _runtime(
-    blas: _BlasThreads | None, workers: int, reason: str | None, blas_threads: int | None
+    blas: _OpenBLAS | None, workers: int, reason: str | None, blas_threads: int | None
 ) -> dict:
     return {
         "workers": workers,
@@ -536,68 +566,14 @@ def _run_realizations(
         return results, workers, None
 
 
-@functools.cache
-def _gil_free_sterf() -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """LAPACK ``dsterf`` called through ctypes, which releases the GIL for
-    the call, so GOE representation realizations can overlap on threads.
+def _scipy_sterf(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """LAPACK ``dsterf`` through scipy's own wrapper, which holds the GIL."""
+    from scipy.linalg.lapack import dsterf  # only where numpy has no OpenBLAS
 
-    The function pointer is the one ``scipy.linalg.cython_lapack`` exports:
-    the routine, in the library, that ``eigvalsh_tridiagonal(...,
-    lapack_driver="sterf")`` calls.  Built once, on first use; raises if the
-    export is missing or its signature is not
-    ``void(int *, double *, double *, int *)``.  The returned solver takes
-    C-contiguous float64 arrays of the diagonal and the off-diagonal,
-    overwrites both, and returns the diagonal array holding the ascending
-    eigenvalues.
-    """
-    from scipy.linalg.cython_lapack import __pyx_capi__ as capi
-
-    capsule = capi["dsterf"]
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    name = get_name(capsule)
-    # the middle arguments are cython_lapack's typedef of double
-    if not re.fullmatch(rb"void \(int \*, (\w+_d) \*, \1 \*, int \*\)", name or b""):
-        raise TypeError(f"unexpected dsterf signature {name!r}")
-    int_p = ctypes.POINTER(ctypes.c_int)
-    call = ctypes.CFUNCTYPE(None, int_p, ctypes.c_void_p, ctypes.c_void_p, int_p)(
-        get_pointer(capsule, name))
-
-    def sterf(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-        # LAPACK reads n doubles from diag and n - 1 from off, in place
-        for a in (diag, off):
-            if a.dtype != np.float64 or a.ndim != 1 or not a.flags.c_contiguous \
-                    or not a.flags.writeable:
-                raise ValueError("sterf needs writable contiguous 1-D float64 arrays")
-        if not 0 < diag.size == off.size + 1:
-            raise ValueError(f"sterf needs n >= 1 diagonal and n - 1 off-diagonal "
-                             f"entries, got {diag.size} and {off.size}")
-        n, info = ctypes.c_int(diag.size), ctypes.c_int(0)
-        call(ctypes.byref(n), diag.ctypes.data, off.ctypes.data, ctypes.byref(info))
-        if info.value:
-            raise np.linalg.LinAlgError(f"sterf failed with info={info.value}")
-        return diag
-
-    return sterf
-
-
-def _sterf_solver() -> tuple[Callable[[np.ndarray, np.ndarray], np.ndarray], str | None]:
-    """The GIL-free ``sterf`` and None, or, if it cannot be built, scipy's
-    own wrapper of the same routine (which holds the GIL) and why."""
-    try:
-        return _gil_free_sterf(), None
-    except (ImportError, AttributeError, KeyError, TypeError, ValueError) as exc:
-        from scipy.linalg.lapack import dsterf
-
-        def sterf(diag, off):
-            levels, info = dsterf(diag, off)
-            if info:
-                raise np.linalg.LinAlgError(f"sterf failed with info={info}")
-            return levels
-
-        return sterf, f"no GIL-free LAPACK sterf: {exc}"
+    levels, info = dsterf(diag, off)
+    if info:
+        raise np.linalg.LinAlgError(f"sterf failed with info={info}")
+    return levels
 
 
 def sample_velocities_representation(
@@ -622,15 +598,16 @@ def sample_velocities_representation(
 
     GOE realizations use `workers` threads where they are large enough for
     that to pay (:data:`_MIN_THREADED_LEVELS`).  The calling thread draws
-    each realization and the workers solve its spectrum with LAPACK
-    ``sterf``, most of a realization's time, called through ctypes with the
-    GIL released (:func:`_gil_free_sterf`).  It is the routine that
-    ``eigvalsh_tridiagonal(..., lapack_driver="sterf")`` calls, and each
-    realization has its own substream, so the bytes do not depend on
-    `workers`.  If that binding cannot be built, the route runs serially
-    through ``scipy.linalg.lapack.dsterf`` with the same bytes, and
-    ``runtime["reason"]`` says why.  Picket-fence realizations hold the GIL
-    throughout and always run serially.
+    each realization and the workers solve its spectrum, most of a
+    realization's time, with the LAPACK ``dsterf`` of numpy's OpenBLAS,
+    called through ctypes with the GIL released (:func:`_openblas`).  It is
+    the routine that ``eigvalsh_tridiagonal(..., lapack_driver="sterf")``
+    calls, and each realization has its own substream, so the bytes do not
+    depend on `workers`.  Where numpy links no OpenBLAS, the route runs
+    serially through ``scipy.linalg.lapack.dsterf`` with the same bytes,
+    and ``runtime["reason"]`` says so, as for the direct route.
+    Picket-fence realizations hold the GIL throughout and always run
+    serially.
     """
     if config.route != "representation":
         raise ValueError(f"config.route is {config.route!r}, expected 'representation'")
@@ -666,15 +643,14 @@ def sample_velocities_representation(
             tridiagonal,
         )
 
+    blas = _openblas()
     if config.is_rigid:
         values, used, reason = _run_realizations(one_pf, config, workers)
+    elif blas is None:
+        values, used, _ = _run_realizations(one_goe, config, 1, solve=_scipy_sterf)
+        reason = _NO_OPENBLAS
     else:
-        sterf, reason = _sterf_solver()
-        values, used, too_small = _run_realizations(
-            one_goe, config, 1 if reason else workers, solve=sterf
-        )
-        reason = reason or too_small
-    blas = _blas_thread_control()
+        values, used, reason = _run_realizations(one_goe, config, workers, solve=blas.sterf)
     return VelocitySampleSet(
         values=np.array(values),
         config=config,
@@ -797,10 +773,10 @@ def _sample_direct(
             ys[m] = gdot * (n / (2.0 * math.pi) / (gamma_bar * math.sqrt(tr_sq)))
         return ys, window - idx.size
 
-    blas = _blas_thread_control()
+    blas = _openblas()
     if blas is None:
         results, _, _ = _run_realizations(one, config, 1)
-        runtime = _runtime(None, 1, "BLAS thread control unavailable", None)
+        runtime = _runtime(None, 1, _NO_OPENBLAS, None)
     else:
         previous = blas.get()
         blas.set(1)

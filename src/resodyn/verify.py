@@ -33,7 +33,7 @@ from .spectral import EffectiveHamiltonian, bell_steinberger, diagonalize
 from .statistics import (
     _MAX_SEED,
     EnsembleConfig,
-    _blas_thread_control,
+    _openblas,
     _reference_levels,
     _sample_direct,
     _usable_cores,
@@ -523,9 +523,10 @@ def _route_equivalence(seed, size):
 
 def _thread_determinism(seed, size):
     # the picket-fence route calls no eigh; the GOE one shows whether the
-    # bytes depend on the ambient BLAS thread count.  Its runs stay serial:
-    # pool threads' malloc arenas would each keep an eigh workspace of
-    # about 3 MB for the rest of the process
+    # bytes depend on the ambient BLAS thread count, set through numpy's
+    # OpenBLAS, and is skipped where that is not found.  Its runs stay
+    # serial: pool threads' malloc arenas would each keep an eigh workspace
+    # of about 3 MB for the rest of the process
     pf_realizations, goe_realizations = size
     cfg = EnsembleConfig(
         n_levels=250, n_channels=1, realizations=pf_realizations, central_window=25,
@@ -533,7 +534,7 @@ def _thread_determinism(seed, size):
     )
     identical = np.array_equal(sample_velocities_direct(cfg, workers=1).values,
                                sample_velocities_direct(cfg, workers=3).values)
-    blas = _blas_thread_control()
+    blas = _openblas()
     if blas is not None:
         cfg = replace(cfg, realizations=goe_realizations, model="goe")
         previous = blas.get()

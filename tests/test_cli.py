@@ -230,7 +230,7 @@ class TestEnsembleCommand:
         if runtimes[1]["blas_threads"] == 1:
             assert runtimes[1]["workers"] == 2 and runtimes[1]["reason"] is None
         else:
-            assert runtimes[1] == {"workers": 1, "reason": "BLAS thread control unavailable",
+            assert runtimes[1] == {"workers": 1, "reason": "numpy's OpenBLAS not found",
                                    "blas": "unknown", "blas_threads": None}
 
     def test_fresh_seed_is_echoed(self, runner, tmp_path):
@@ -566,7 +566,10 @@ def test_import_leaves_scipy_stats_unloaded(module):
      "--realizations", "4", "--window", "5", "--seed", "3"],
     ["ensemble", "--model", "goe", "--route", "direct", "--n", "40", "--m", "2",
      "--realizations", "4", "--window", "5", "--seed", "3"],
-], ids=["dist", "two-level-sweep", "ensemble-pf-direct", "ensemble-goe-direct"])
+    ["ensemble", "--model", "goe", "--route", "representation", "--n", "40", "--m", "2",
+     "--realizations", "4", "--window", "5", "--seed", "3"],
+], ids=["dist", "two-level-sweep", "ensemble-pf-direct", "ensemble-goe-direct",
+        "ensemble-goe-representation"])
 def test_command_leaves_deferred_scipy_unloaded(args, tmp_path):
     # standalone_mode=False: a failing command raises, and the probe exits non-zero
     out = tmp_path / "out.csv"

@@ -407,10 +407,10 @@ class TestRepresentationRoute:
         # the level nearest zero would sit next to gaps about 10% wider
         n = 250
         ref = (n - 1) // 2
-        sterf = statistics._gil_free_sterf()
         gaps = np.empty(4000)
         for r in range(gaps.size):
-            levels = sterf(*_goe_tridiagonal(n, substream(2024, r)))
+            levels = eigvalsh_tridiagonal(*_goe_tridiagonal(n, substream(2024, r)),
+                                          lapack_driver="sterf", check_finite=False)
             gaps[r] = 0.5 * (levels[ref + 1] - levels[ref - 1])
         se = gaps.std() / math.sqrt(gaps.size)
         assert abs(gaps.mean() - 1.0) <= 3 * se
@@ -469,10 +469,9 @@ class TestRepresentationRoute:
         cfg = replace(goe_representation_config(), model=model)
         runs = {w: sample_velocities_representation(cfg, workers=w) for w in (1, 2, 3)}
         # the same route with scipy's own tridiagonal solver
-        monkeypatch.setattr(
-            statistics, "_gil_free_sterf",
-            lambda: partial(eigvalsh_tridiagonal, lapack_driver="sterf", check_finite=False),
-        )
+        with_scipy_sterf = replace(statistics._openblas(), sterf=partial(
+            eigvalsh_tridiagonal, lapack_driver="sterf", check_finite=False))
+        monkeypatch.setattr(statistics, "_openblas", lambda: with_scipy_sterf)
         reference = sample_velocities_representation(cfg)
         for run in runs.values():
             assert run.values.tobytes() == reference.values.tobytes()
@@ -483,74 +482,43 @@ class TestRepresentationRoute:
             assert (threaded["workers"], threaded["reason"]) == (
                 1, "realization too small for threads")
 
-    def test_serial_without_the_gil_free_sterf(self, monkeypatch):
-        cfg = goe_representation_config()
-        threaded = sample_velocities_representation(cfg, workers=2)
-
-        def unavailable():
-            raise ImportError("no cython_lapack")
-
-        monkeypatch.setattr(statistics, "_gil_free_sterf", unavailable)
-        callers = set()
-        draw = statistics.substream
-
-        def spy(*args):
-            callers.add(threading.get_ident())
-            return draw(*args)
-
-        monkeypatch.setattr(statistics, "substream", spy)
-        fallback = sample_velocities_representation(cfg, workers=2)
-        assert callers == {threading.get_ident()}
-        assert fallback.values.tobytes() == threaded.values.tobytes()
-        assert fallback.runtime["workers"] == 1
-        assert fallback.runtime["reason"] == "no GIL-free LAPACK sterf: no cython_lapack"
-
 
 @pytest.fixture
-def fresh_sterf():
-    """The cached ctypes sterf binding, rebuilt for the test and after it."""
-    statistics._gil_free_sterf.cache_clear()
-    yield
-    statistics._gil_free_sterf.cache_clear()
+def openblas_sterf():
+    """The LAPACK dsterf of numpy's OpenBLAS, called through ctypes."""
+    blas = statistics._openblas()
+    if blas is None:
+        pytest.skip("numpy links no OpenBLAS here")
+    return blas.sterf
 
 
 class TestGilFreeSterf:
-    def test_matches_scipy_dsterf_bit_for_bit(self):
+    def test_matches_scipy_dsterf_bit_for_bit(self, openblas_sterf):
         from scipy.linalg.lapack import dsterf
 
-        sterf = statistics._gil_free_sterf()
         rng = np.random.default_rng(2025)
         for n in (2, 3, 17, 250):
             for _ in range(25):
                 d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
                 expected, info = dsterf(d, e)
                 assert info == 0
-                assert sterf(d.copy(), e.copy()).tobytes() == expected.tobytes()
+                assert openblas_sterf(d.copy(), e.copy()).tobytes() == expected.tobytes()
 
-    def test_failure_raises(self):
+    def test_failure_raises(self, openblas_sterf):
         # dsterf reports a NaN input as a failure to converge (info > 0)
         with pytest.raises(np.linalg.LinAlgError, match="info=2"):
-            statistics._gil_free_sterf()(np.array([np.nan, 1.0, 2.0]), np.array([1.0, np.nan]))
+            openblas_sterf(np.array([np.nan, 1.0, 2.0]), np.array([1.0, np.nan]))
 
     @pytest.mark.parametrize("diag, off", [
         (np.ones(3), np.ones(3)),  # off too long
         (np.ones(3, dtype=np.float32), np.ones(2, dtype=np.float32)),
         (np.ones(6)[::2], np.ones(2)),  # not contiguous
         (np.ones((3, 1)), np.ones(2)),
+        (np.frombuffer(bytes(24)), np.ones(2)),  # read-only
     ])
-    def test_unsafe_buffers_refused(self, diag, off):
+    def test_unsafe_buffers_refused(self, openblas_sterf, diag, off):
         with pytest.raises(ValueError, match="sterf needs"):
-            statistics._gil_free_sterf()(diag, off)
-
-    def test_wrong_signature_is_not_bound(self, fresh_sterf, monkeypatch):
-        from scipy.linalg.cython_lapack import __pyx_capi__ as capi
-
-        # single precision: the same call shape on floats
-        monkeypatch.setitem(capi, "dsterf", capi["ssterf"])
-        with pytest.raises(TypeError, match="unexpected dsterf signature"):
-            statistics._gil_free_sterf()
-        _, reason = statistics._sterf_solver()
-        assert reason.startswith("no GIL-free LAPACK sterf: unexpected dsterf signature")
+            openblas_sterf(diag, off)
 
 
 class TestThreadThreshold:
@@ -885,7 +853,7 @@ class TestCompareHistogram:
 @pytest.fixture
 def blas():
     """numpy's BLAS thread control, set to 2 threads for the test."""
-    control = statistics._blas_thread_control()
+    control = statistics._openblas()
     if control is None:
         pytest.skip("numpy's BLAS thread count cannot be controlled here")
     original = control.get()
@@ -922,22 +890,34 @@ class TestBlasPinning:
             sample_velocities_direct(goe_direct_config(realizations=4), workers=workers)
         assert blas.get() == before
 
-    def test_serial_without_blas_control(self, monkeypatch):
-        pinned = sample_velocities_direct(goe_direct_config(), workers=2)
-        monkeypatch.setattr(statistics, "_blas_thread_control", lambda: None)
+    def test_serial_without_blas_control(self, blas, monkeypatch):
+        # both routes then run on the calling thread, the GOE representation
+        # route through scipy's dsterf, and give the same bytes
+        samplers = {sample_velocities_direct: goe_direct_config(),
+                    sample_velocities_representation: goe_representation_config()}
+        threaded = {sample: sample(cfg, workers=2) for sample, cfg in samplers.items()}
+        assert all(run.runtime["workers"] == 2 for run in threaded.values())
+        monkeypatch.setattr(statistics, "_openblas", lambda: None)
         callers = set()
-        draw = statistics.substream
 
-        def spy(*args):
-            callers.add(threading.get_ident())
-            return draw(*args)
+        def spy(name):
+            call = getattr(statistics, name)
 
-        monkeypatch.setattr(statistics, "substream", spy)
-        fallback = sample_velocities_direct(goe_direct_config(), workers=2)
-        assert callers == {threading.get_ident()}
-        assert fallback.runtime == {
-            "workers": 1, "reason": "BLAS thread control unavailable",
-            "blas": "unknown", "blas_threads": None,
-        }
-        # at the default BLAS thread count only the last bits may differ
-        np.testing.assert_allclose(fallback.values, pinned.values, rtol=1e-8, atol=1e-9)
+            def record(*args):
+                callers.add((name, threading.get_ident()))
+                return call(*args)
+
+            monkeypatch.setattr(statistics, name, record)
+
+        spy("substream")
+        spy("_scipy_sterf")
+        blas.set(1)  # the count the direct route pins, so eigh gives the same bytes
+        for sample, cfg in samplers.items():
+            serial = sample(cfg, workers=2)
+            assert serial.values.tobytes() == threaded[sample].values.tobytes()
+            assert serial.runtime == {
+                "workers": 1, "reason": "numpy's OpenBLAS not found",
+                "blas": "unknown", "blas_threads": None,
+            }
+        me = threading.get_ident()
+        assert callers == {("substream", me), ("_scipy_sterf", me)}

@@ -164,7 +164,7 @@ def test_rigid_checks_carry_the_draw_runtime(draws, monkeypatch):
 
 @pytest.fixture
 def blas_control():
-    control = statistics._blas_thread_control()
+    control = statistics._openblas()
     if control is None:
         pytest.skip("numpy's BLAS thread count cannot be controlled here")
     original = control.get()
@@ -208,7 +208,7 @@ def test_thread_determinism_without_blas_control(monkeypatch):
         kinds.append(config.model)
         return sample_velocities_direct(config, workers=workers)
 
-    monkeypatch.setattr(verify, "_blas_thread_control", lambda: None)
+    monkeypatch.setattr(verify, "_openblas", lambda: None)
     monkeypatch.setattr(verify, "sample_velocities_direct", spy)
     assert verify._thread_determinism(7, (4, 3)) == (
         True, "serial and 3-thread runs bit-identical")
