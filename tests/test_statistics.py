@@ -482,6 +482,34 @@ class TestRepresentationRoute:
             assert (threaded["workers"], threaded["reason"]) == (
                 1, "realization too small for threads")
 
+    def test_serial_without_the_gil_free_sterf(self, monkeypatch):
+        # without numpy's OpenBLAS the GOE route runs on the calling thread
+        # through scipy's dsterf and gives the same bytes
+        cfg = goe_representation_config()
+        threaded = sample_velocities_representation(cfg, workers=2)
+        monkeypatch.setattr(statistics, "_openblas", lambda: None)
+        callers = set()
+
+        def spy(name):
+            call = getattr(statistics, name)
+
+            def record(*args):
+                callers.add((name, threading.get_ident()))
+                return call(*args)
+
+            monkeypatch.setattr(statistics, name, record)
+
+        spy("substream")
+        spy("_scipy_sterf")
+        fallback = sample_velocities_representation(cfg, workers=2)
+        me = threading.get_ident()
+        assert callers == {("substream", me), ("_scipy_sterf", me)}
+        assert fallback.values.tobytes() == threaded.values.tobytes()
+        assert fallback.runtime == {
+            "workers": 1, "reason": "numpy's OpenBLAS not found",
+            "blas": "unknown", "blas_threads": None,
+        }
+
 
 @pytest.fixture
 def openblas_sterf():
@@ -891,33 +919,22 @@ class TestBlasPinning:
         assert blas.get() == before
 
     def test_serial_without_blas_control(self, blas, monkeypatch):
-        # both routes then run on the calling thread, the GOE representation
-        # route through scipy's dsterf, and give the same bytes
-        samplers = {sample_velocities_direct: goe_direct_config(),
-                    sample_velocities_representation: goe_representation_config()}
-        threaded = {sample: sample(cfg, workers=2) for sample, cfg in samplers.items()}
-        assert all(run.runtime["workers"] == 2 for run in threaded.values())
+        threaded = sample_velocities_direct(goe_direct_config(), workers=2)
+        assert threaded.runtime["workers"] == 2
         monkeypatch.setattr(statistics, "_openblas", lambda: None)
         callers = set()
+        draw = statistics.substream
 
-        def spy(name):
-            call = getattr(statistics, name)
+        def spy(*args):
+            callers.add(threading.get_ident())
+            return draw(*args)
 
-            def record(*args):
-                callers.add((name, threading.get_ident()))
-                return call(*args)
-
-            monkeypatch.setattr(statistics, name, record)
-
-        spy("substream")
-        spy("_scipy_sterf")
+        monkeypatch.setattr(statistics, "substream", spy)
         blas.set(1)  # the count the direct route pins, so eigh gives the same bytes
-        for sample, cfg in samplers.items():
-            serial = sample(cfg, workers=2)
-            assert serial.values.tobytes() == threaded[sample].values.tobytes()
-            assert serial.runtime == {
-                "workers": 1, "reason": "numpy's OpenBLAS not found",
-                "blas": "unknown", "blas_threads": None,
-            }
-        me = threading.get_ident()
-        assert callers == {("substream", me), ("_scipy_sterf", me)}
+        serial = sample_velocities_direct(goe_direct_config(), workers=2)
+        assert callers == {threading.get_ident()}
+        assert serial.values.tobytes() == threaded.values.tobytes()
+        assert serial.runtime == {
+            "workers": 1, "reason": "numpy's OpenBLAS not found",
+            "blas": "unknown", "blas_threads": None,
+        }
