@@ -62,8 +62,6 @@ _NUMERIC_ERRORS = (
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
     return f"{x:.17g}"
 
 
@@ -92,8 +90,10 @@ def _emit_table(output, config, seed, columns, rows, extra_comments=()):
     lines = _provenance(config, seed)
     lines.extend(extra_comments)
     lines.append(",".join(columns))
-    for row in np.atleast_2d(rows):
-        lines.append(",".join(_fmt(float(x)) for x in row))
+    rows = np.atleast_2d(rows)
+    # one %-format per row, with the bytes of _fmt in every cell
+    row_format = ",".join(["%.17g"] * rows.shape[1])
+    lines.extend(row_format % tuple(row) for row in rows.tolist())
     text = "\n".join(lines) + "\n"
     if output is None:
         click.echo(text, nl=False)
@@ -382,12 +382,19 @@ def cmd_ensemble(ctx, model, n_levels, n_channels, realizations, window, route, 
     if p["threads"] is not None and p["threads"] < 1:
         raise click.ClickException(f"threads must be >= 1, got {p['threads']}")
 
-    # a GOE direct-route realization holds up to about seven n x n matrices
-    # at once (measured 5.3-6.8 per worker at n=1200; a picket-fence one about
-    # two), each worker runs one, and it keeps window samples; the
-    # representation route holds no n x n matrix and keeps one sample
+    # bytes per worker: a picket-fence direct-route realization draws an
+    # n x n block, projected as seven n x n matrices; a GOE one holds no
+    # n x n matrix, only about ten window x n arrays and two n x M (traced
+    # peak at n=1200, window 25, M=2: 8.3 window x n with one worker, 9.8
+    # with four); the representation route holds neither.  The direct route
+    # keeps window samples per realization, the representation route one
     direct = cfg.route == "direct"
-    per_worker = 8 * 7 * cfg.n_levels**2 if direct else 0
+    if not direct:
+        per_worker = 0
+    elif cfg.is_rigid:
+        per_worker = 8 * 7 * cfg.n_levels**2
+    else:
+        per_worker = 8 * cfg.n_levels * (10 * cfg.central_window + 2 * cfg.n_channels)
     shared = 8 * (cfg.realizations * (cfg.central_window if direct else 1)
                   + cfg.n_levels * cfg.n_channels)
     cap = p["max_memory_mb"] * 2**20

@@ -6,9 +6,12 @@ Two Monte-Carlo routes produce samples of the rescaled width velocity y:
   velocity directly (a chi-square width factor, a model spectrum -- for GOE
   the eigenvalues of the tridiagonal beta = 1 model -- and two sets of
   independent normals), and
-* a *direct-matrix* route that builds full random realizations (spectrum,
+* a *direct-matrix* route that draws random realizations (spectrum,
   decay amplitudes, random symmetric perturbation), evaluates the
-  weak-coupling velocity formula level by level, and rescales.
+  weak-coupling velocity formula level by level, and rescales.  For GOE it
+  draws the spectrum from the tridiagonal model and only the rows of the
+  perturbation that the formula reads, in the eigenbasis, which has the
+  same law as drawing the dense matrices and rotating them.
 
 Both spectrum models, ``"goe"`` and ``"picket-fence"`` (alias ``"pf"``),
 have unit mean level spacing at the band center, so y is dimensionless.
@@ -24,10 +27,10 @@ any number of workers and on any host.  Both may spread their realizations
 over threads, where a realization is large enough for that to pay, if
 numpy links OpenBLAS; without it they run serially.  The direct route runs
 them with that OpenBLAS pinned to one thread, because BLAS results depend
-in the last bits on the BLAS thread count.  The GOE representation route
-solves its tridiagonal spectra with that OpenBLAS's LAPACK ``sterf``,
-called through ctypes, which releases the GIL for the call; the
-picket-fence representation route has no GIL-free work and runs serially.
+in the last bits on the BLAS thread count.  Both GOE routes solve their
+tridiagonal spectra with that OpenBLAS's LAPACK ``sterf``, called through
+ctypes, which releases the GIL for the call; the picket-fence
+representation route has no GIL-free work and runs serially.
 """
 
 from __future__ import annotations
@@ -519,7 +522,7 @@ def _usable_cores() -> int:
 # Measured on 2 cores (see CHANGES.md); the picket-fence representation
 # route has no GIL-free work at all
 _MIN_THREADED_LEVELS = {
-    ("direct", "goe"): 60,
+    ("direct", "goe"): 100,
     ("direct", "picket-fence"): 128,
     ("representation", "goe"): 80,
     ("representation", "picket-fence"): math.inf,
@@ -666,12 +669,34 @@ def _reference_levels(levels: np.ndarray, window: int) -> np.ndarray:
     return np.sort(np.argsort(np.abs(levels), kind="stable")[:window])
 
 
+def _perturbation_rows(x_rows: np.ndarray, idx: np.ndarray, rest: float):
+    """The rows `idx` of an n x n perturbation W = (x + x.T) / sqrt(2), x a
+    matrix of standard normals, and Tr W^2, without the rest of W.
+
+    `x_rows` are the rows `idx` (distinct indices) of x, and `rest` is a
+    chi-square variable with (n - w)(n - w + 1) / 2 degrees of freedom,
+    w = len(idx).  The idx x idx block b of the rows becomes
+    (b + b.T) / sqrt(2), which gives it W's law: diagonal N(0, 2),
+    off-diagonal N(0, 1), symmetric.  The other row entries are W's, each
+    with a mirror image outside the rows, so each counts twice in Tr W^2.
+    The entries outside the rows are independent of them, and their share
+    of Tr W^2 is twice `rest` in law: (n - w) of them are N(0, 2) on the
+    diagonal and the others N(0, 1) in mirror pairs.
+    """
+    block = x_rows[:, idx]
+    block = (block + block.T) / math.sqrt(2.0)
+    rows = x_rows.copy()
+    rows[:, idx] = block
+    tr_sq = 2.0 * (float(np.sum(rows * rows)) + rest) - float(np.sum(block * block))
+    return rows, tr_sq
+
+
 def sample_velocities_direct(
     config: EnsembleConfig, *, workers: int = 1
 ) -> VelocitySampleSet:
-    """Sample rescaled width velocities from full random-matrix realizations.
+    """Sample rescaled width velocities from random-matrix realizations.
 
-    Each realization builds the closed-system spectrum (picket fence or
+    Each realization draws the closed-system spectrum (picket fence or
     GOE), Gaussian decay amplitudes A, and a GOE-distributed symmetric
     perturbation W, evaluates the weak-coupling width velocity for the
     `central_window` levels nearest zero, and rescales each velocity by
@@ -686,26 +711,38 @@ def sample_velocities_direct(
     spacing) cancels identically.  Levels with a neighbor closer than 1e-8
     are skipped and counted.
 
-    After the GOE matrix (if any), a realization's substream gives the
-    n_levels * n_channels normals of A, row by row, and then the
-    n_levels^2 normals of the matrix x with W = (x + x.T) / sqrt(2).
+    A picket-fence realization's substream gives the n_levels *
+    n_channels normals of A, row by row, and then the n_levels^2 normals of
+    the matrix x with W = (x + x.T) / sqrt(2).  A GOE realization needs
+    only the spectrum of H = O diag(E) O^T: given O, the amplitudes O^T A
+    and the perturbation O^T W O in the eigenbasis have the laws of A and
+    W, whatever O and E are.  So its substream gives the tridiagonal
+    beta = 1 model of H (as the representation route draws it), whose
+    levels LAPACK ``sterf`` solves; then the chi-square variable that
+    stands for the entries of W outside the reference rows; then the
+    n_levels * n_channels normals of A in the eigenbasis, and the
+    `central_window` x n_levels normals of the reference rows of x
+    (:func:`_perturbation_rows`).  No n_levels x n_levels matrix is built.
+
     This is the one-channel-count case of :func:`_sample_direct`, through
     which ``verify.rigid_samples`` draws its four sets (M = 1, 2, 5, 10)
     in one pass: each realization draws one block of normals, and set M
-    takes its first n_levels * M as A and the next n_levels^2 as x, the
-    layout the sets always had, so they are correlated across M as
-    before.
+    takes its first n_levels * M as A and the next ones as x, the layout
+    the sets always had, so they are correlated across M as before.
 
     The realizations run on `workers` threads, or serially where they are
     too small for threads to pay (:data:`_MIN_THREADED_LEVELS`), with
     numpy's OpenBLAS pinned to one thread, whatever `workers` is, and the
-    previous BLAS thread count is restored afterwards.  The GIL is released
-    in `eigh`, the matrix products and the normal draws, so one BLAS thread
-    per realization lets the workers overlap; pinning serial runs too keeps
-    the bytes independent of `workers` and of the host's core count.  If
-    the BLAS thread count cannot be controlled, the realizations run
-    serially.  The count is process-wide, so calls from several threads at
-    once are not supported.
+    previous BLAS thread count is restored afterwards.  Picket-fence
+    realizations run whole on the workers, which overlap in the GIL-free
+    normal draws and matrix products.  For GOE the calling thread draws
+    each realization and finishes it, in order, while the workers solve
+    the spectra a few realizations ahead (as in the representation route).
+    Pinning serial runs too keeps the bytes independent of `workers` and
+    of the host's core count.  Where numpy's OpenBLAS is not found, the
+    realizations run serially, GOE spectra through scipy's ``dsterf``
+    with the same bytes.  The BLAS thread count is process-wide, so calls
+    from several threads at once are not supported.
     """
     return _sample_direct(config, (config.n_channels,), workers=workers)[config.n_channels]
 
@@ -716,12 +753,14 @@ def _sample_direct(
     """Direct-route sample sets for each channel count M in `channels`,
     from one pass over the realizations; ``config.n_channels`` is ignored.
 
-    Each realization draws one block of n_levels * max(channels) +
-    n_levels^2 normals after its GOE matrix (if any).  Set M takes the
-    first n_levels * M of them as A and the next n_levels^2 as x: the
-    stream :func:`sample_velocities_direct` draws for M, since consecutive
-    draws from one generator equal one draw of their total length.  So
-    each set is byte-identical to its own single-M call (``config`` is
+    Each realization draws one block of n_levels * max(channels) + k
+    normals after its spectrum and (GOE only) its chi-square, where k is
+    n_levels^2 for the picket fence and central_window * n_levels for GOE.
+    Set M takes the first n_levels * M of them as A and the next k as x
+    (GOE: the reference rows of x): the stream
+    :func:`sample_velocities_direct` draws for M, since consecutive draws
+    from one generator equal one draw of their total length.  So each set
+    is byte-identical to its own single-M call (``config`` is
     ``replace(config, n_channels=M)``), and the sets are correlated across
     M as the substreams they share make them.
     """
@@ -730,7 +769,13 @@ def _sample_direct(
     configs = {m: replace(config, n_channels=m) for m in channels}
     n, window = config.n_levels, config.central_window
     gamma_bar = WEAK_COUPLING_GAMMA
-    block_size = n * max(configs) + n * n
+
+    def velocities(block, m, idx, w_rows, inv, tr_sq):
+        # set M's amplitudes are the first n * M normals of the block
+        amplitudes = block[: n * m].reshape(n, m) * math.sqrt(gamma_bar)
+        b_rows = amplitudes[idx] @ amplitudes.T
+        gdot = 2.0 * np.sum(b_rows * w_rows * inv, axis=1)
+        return gdot * (n / (2.0 * math.pi) / (gamma_bar * math.sqrt(tr_sq)))
 
     if config.is_rigid:
         pf_levels = picket_fence_spectrum(n)
@@ -739,49 +784,56 @@ def _sample_direct(
             pf_inv = 1.0 / (pf_levels[pf_idx, None] - pf_levels[None, :])
         pf_inv[np.arange(window), pf_idx] = 0.0
 
-    def one(r: int):
-        rng = substream(config.seed, r)
-        if config.is_rigid:
-            levels, idx, inv = pf_levels, pf_idx, pf_inv
-            basis = None
-        else:
-            levels, basis = np.linalg.eigh(sample_goe(n, rng))
-            idx = _reference_levels(levels, window)
-            diff = levels[idx, None] - levels[None, :]
-            diff[np.arange(window), idx] = np.inf
-            keep_rows = np.abs(diff).min(axis=1) >= DEGENERACY_SKIP_TOL
-            inv = np.zeros_like(diff)
-            np.divide(1.0, diff, out=inv, where=np.isfinite(diff))
-            idx, inv = idx[keep_rows], inv[keep_rows]
-        block = rng.standard_normal(block_size)
+    def one_pf(r: int):
+        block = substream(config.seed, r).standard_normal(n * max(configs) + n * n)
         ys = {}
         for m in configs:
-            amplitudes = block[: n * m].reshape(n, m) * math.sqrt(gamma_bar)
             x = block[n * m : n * m + n * n].reshape(n, n)
             pert = np.add(x, x.T)
             pert /= math.sqrt(2.0)
-            if basis is None:
-                b_rows = amplitudes[idx] @ amplitudes.T
-                w_rows = pert[idx]
-            else:
-                rotated = basis.T @ amplitudes
-                b_rows = rotated[idx] @ rotated.T
-                w_rows = (basis[:, idx].T @ pert) @ basis
+            w_rows = pert[pf_idx]
             # Tr pert^2 = sum(pert * pert), squared in place once w_rows is taken
             tr_sq = float(np.sum(np.multiply(pert, pert, out=pert)))
-            gdot = 2.0 * np.sum(b_rows * w_rows * inv, axis=1)
-            ys[m] = gdot * (n / (2.0 * math.pi) / (gamma_bar * math.sqrt(tr_sq)))
-        return ys, window - idx.size
+            ys[m] = velocities(block, m, pf_idx, w_rows, pf_inv, tr_sq)
+        return ys, 0
+
+    # the entries of W outside the reference rows, as one chi-square variable
+    rest_dof = (n - window) * (n - window + 1) // 2
+
+    def finish_goe(rng, levels):
+        idx = _reference_levels(levels, window)
+        diff = levels[idx, None] - levels[None, :]
+        diff[np.arange(window), idx] = np.inf
+        keep_rows = np.abs(diff).min(axis=1) >= DEGENERACY_SKIP_TOL
+        inv = np.zeros_like(diff)
+        np.divide(1.0, diff, out=inv, where=np.isfinite(diff))
+        rest = rng.chisquare(rest_dof) if rest_dof else 0.0
+        block = rng.standard_normal(n * max(configs) + window * n)
+        kept, inv = idx[keep_rows], inv[keep_rows]
+        ys = {}
+        for m in configs:
+            x_rows = block[n * m : n * m + window * n].reshape(window, n)
+            w_rows, tr_sq = _perturbation_rows(x_rows, idx, rest)
+            ys[m] = velocities(block, m, kept, w_rows[keep_rows], inv, tr_sq)
+        return ys, window - kept.size
+
+    def one_goe(r: int):
+        rng = substream(config.seed, r)
+        return functools.partial(finish_goe, rng), _goe_tridiagonal(n, rng)
 
     blas = _openblas()
+    if config.is_rigid:
+        task, solve = one_pf, None
+    else:
+        task, solve = one_goe, _scipy_sterf if blas is None else blas.sterf
     if blas is None:
-        results, _, _ = _run_realizations(one, config, 1)
+        results, _, _ = _run_realizations(task, config, 1, solve=solve)
         runtime = _runtime(None, 1, _NO_OPENBLAS, None)
     else:
         previous = blas.get()
         blas.set(1)
         try:
-            results, used, reason = _run_realizations(one, config, workers)
+            results, used, reason = _run_realizations(task, config, workers, solve=solve)
         finally:
             blas.set(previous)
         runtime = _runtime(blas, used, reason, 1)

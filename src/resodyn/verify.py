@@ -522,11 +522,10 @@ def _route_equivalence(seed, size):
 
 
 def _thread_determinism(seed, size):
-    # the picket-fence route calls no eigh; the GOE one shows whether the
-    # bytes depend on the ambient BLAS thread count, set through numpy's
-    # OpenBLAS, and is skipped where that is not found.  Its runs stay
-    # serial: pool threads' malloc arenas would each keep an eigh workspace
-    # of about 3 MB for the rest of the process
+    # the picket-fence runs compare worker counts; the GOE runs show whether
+    # the bytes depend on the ambient BLAS thread count, set through numpy's
+    # OpenBLAS, and are skipped where that is not found.  Those runs stay
+    # serial, so that they vary the BLAS count alone
     pf_realizations, goe_realizations = size
     cfg = EnsembleConfig(
         n_levels=250, n_channels=1, realizations=pf_realizations, central_window=25,

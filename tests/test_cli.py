@@ -44,6 +44,20 @@ def read_csv(path):
     return comments, header, np.array(rows)
 
 
+@pytest.mark.parametrize("value", [
+    math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.225073858507201e-308,
+    3.0, -12345678901234567.0, 1e16, 0.1, -1.0 / 3.0,
+], ids=repr)
+def test_table_rows_have_the_bytes_of_fmt(value, tmp_path):
+    # _emit_table formats a whole row at once; each cell must read as _fmt
+    # of that cell, including NaN, infinities, signed zero, subnormals and
+    # integers stored as floats
+    out = tmp_path / "table.csv"
+    cli._emit_table(str(out), {}, None, ("a", "b", "c"), np.array([[value, 1.0, -value]]))
+    assert out.read_text().splitlines()[-1] == ",".join(
+        cli._fmt(x) for x in (value, 1.0, -value))
+
+
 class TestSweepCommand:
     def test_reference_sweep(self, runner, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -208,8 +222,8 @@ class TestEnsembleCommand:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_goe_direct_threads_bytes(self, runner, tmp_path):
-        # the GOE direct route calls eigh, whose bytes would follow the BLAS
-        # thread count if the sampler did not pin it
+        # the GOE direct route solves its spectra on the workers and draws
+        # and finishes each realization on the calling thread, in order
         args = ["ensemble", "--model", "goe", "--route", "direct", "--n", "120",
                 "--m", "2", "--realizations", "40", "--window", "25", "--seed", "5"]
         samples, runtimes = [], []
@@ -281,6 +295,18 @@ class TestEnsembleCommand:
         rep = runner.invoke(main, [*args, "--route", "representation", "--threads", "4",
                                    "--max-memory-mb", "1"])
         assert rep.exit_code == 0, rep.output
+
+    def test_memory_guard_projects_goe_direct_from_the_window(self, runner, tmp_path):
+        # a GOE direct worker holds no N x N matrix: at N=600 it projects
+        # 1.2 MiB, where seven N x N matrices (20 MiB) refused a cap of 19
+        args = ["ensemble", "--model", "goe", "--route", "direct", "--n", "600", "--m", "2",
+                "--realizations", "2", "--window", "25", "--seed", "1", "--threads", "1",
+                "-o", str(tmp_path / "hist.csv")]
+        ran = runner.invoke(main, [*args, "--max-memory-mb", "19"])
+        assert ran.exit_code == 0, ran.output
+        refused = runner.invoke(main, [*args, "--max-memory-mb", "1"])
+        assert refused.exit_code == 1
+        assert "projected memory 2 MiB exceeds the --max-memory-mb cap of 1" in refused.output
 
     @pytest.mark.parametrize("cap, workers", [("19", None), ("24", 1), ("45", 2), ("60", 3)])
     def test_default_threads_fit_under_the_cap(self, runner, tmp_path, monkeypatch,

@@ -81,6 +81,35 @@ def _replay_direct_realization(cfg, r):
     )
 
 
+def _replay_goe_direct_realization(cfg, r):
+    """GOE realization r of the direct route from its substream, level by
+    level through the reference formula in the eigenbasis: the tridiagonal
+    model solved by scipy's sterf, the chi-square for the entries of W
+    outside the reference rows, then A, then the reference rows of x."""
+    n, m, window = cfg.n_levels, cfg.n_channels, cfg.central_window
+    gamma_bar = statistics.WEAK_COUPLING_GAMMA
+    gen = substream(cfg.seed, r)
+    sigma = math.sqrt(n) / math.pi
+    d = sigma * math.sqrt(2.0) * gen.standard_normal(n)
+    e = sigma * np.sqrt(gen.chisquare(np.arange(n - 1, 0, -1)))
+    levels = eigvalsh_tridiagonal(d, e, lapack_driver="sterf", check_finite=False)
+    idx = np.sort(np.argsort(np.abs(levels), kind="stable")[:window])
+    rest = gen.chisquare((n - window) * (n - window + 1) // 2) if window < n else 0.0
+    a = math.sqrt(gamma_bar) * gen.standard_normal((n, m))
+    x_rows = gen.standard_normal((window, n))
+    # W with its reference rows and columns filled in, zero elsewhere
+    pert = np.zeros((n, n))
+    pert[idx] = x_rows
+    pert[:, idx] = x_rows.T
+    block = x_rows[:, idx]
+    pert[np.ix_(idx, idx)] = (block + block.T) / math.sqrt(2.0)
+    tr_sq = float(np.sum(pert * pert)) + 2.0 * rest
+    scale = n / (2.0 * math.pi) / (gamma_bar * math.sqrt(tr_sq))
+    return np.array(
+        [scale * weak_coupling_width_velocity(levels, np.eye(n), a, pert, k) for k in idx]
+    )
+
+
 class TestEnsembles:
     def test_goe_sample_is_symmetric(self, rng):
         h = sample_goe(40, rng)
@@ -598,8 +627,9 @@ class TestDirectRoute:
         assert got.shape == expected.shape and np.all(got == expected)
 
     def test_goe_stream_matches_the_weak_coupling_formula(self):
-        # GOE realization = (H, A, x) from the keyed substream; each level's
-        # velocity is the reference formula, rescaled as the sampler does
+        # GOE realization = (tridiagonal H, chi-square, A, reference rows of
+        # x) from the keyed substream; each level's velocity is the reference
+        # formula in the eigenbasis, rescaled as the sampler does
         n, m, window, seed = 120, 2, 15, 3
         cfg = EnsembleConfig(
             n_levels=n, n_channels=m, realizations=2, central_window=window,
@@ -608,11 +638,51 @@ class TestDirectRoute:
         samples = sample_velocities_direct(cfg)
         np.testing.assert_array_equal(samples.counts, [window, window])
         expected = np.concatenate(
-            [_replay_direct_realization(cfg, r) for r in range(cfg.realizations)]
+            [_replay_goe_direct_realization(cfg, r) for r in range(cfg.realizations)]
         )
         # relative to the largest velocity: single sums cancel to far below it
         err = np.abs(samples.values - expected).max() / np.abs(expected).max()
         assert err <= 1e-12, err
+
+    def test_goe_window_may_span_the_spectrum(self):
+        # every row of W is a reference row: no chi-square is drawn
+        cfg = EnsembleConfig(
+            n_levels=30, n_channels=2, realizations=3, central_window=30,
+            seed=4, model="goe", route="direct",
+        )
+        samples = sample_velocities_direct(cfg)
+        expected = np.concatenate([_replay_goe_direct_realization(cfg, r) for r in range(3)])
+        assert np.abs(samples.values - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_goe_route_matches_the_dense_oracle(self):
+        # the route draws the spectrum from the tridiagonal model and A and
+        # the reference rows of W in the eigenbasis; the oracle draws the
+        # dense H, A and W and rotates them with eigh's eigenvectors.  Both
+        # give the same law of y
+        cfg = EnsembleConfig(
+            n_levels=40, n_channels=2, realizations=1000, central_window=9,
+            seed=35011, model="goe", route="direct",
+        )
+        route = sample_velocities_direct(cfg).values
+        oracle = replace(cfg, seed=35012)
+        dense = np.concatenate(
+            [_replay_direct_realization(oracle, r) for r in range(oracle.realizations)]
+        )
+        assert ks_2samp(route, dense).pvalue >= 0.01
+
+    def test_reduced_trace_follows_the_full_law(self):
+        # Tr W^2 of the full n x n W = (x + x.T) / sqrt(2) is twice a
+        # chi-square variable with n (n + 1) / 2 degrees of freedom; the
+        # reference rows and the one chi-square for the rest follow that law
+        n, idx = 8, np.array([2, 3, 5])
+        w = idx.size
+        gen = np.random.default_rng(35021)
+        traces = np.array([
+            statistics._perturbation_rows(gen.standard_normal((w, n)), idx,
+                                          gen.chisquare((n - w) * (n - w + 1) // 2))[1]
+            for _ in range(4000)
+        ])
+        assert kstest(traces / 2.0, chi2_dist(n * (n + 1) // 2).cdf).pvalue >= 0.01
 
     def test_workers_do_not_change_the_stream(self):
         serial = sample_velocities_direct(pf_config(seed=9), workers=1)
@@ -620,8 +690,9 @@ class TestDirectRoute:
         np.testing.assert_array_equal(serial.values, threaded.values)
 
     def test_goe_workers_do_not_change_the_stream(self):
-        # eigh and the matrix products run in BLAS, whose last bits depend
-        # on its thread count; one BLAS thread per worker keeps them fixed
+        # the workers solve the spectra, and the calling thread draws and
+        # finishes every realization in order, so the bytes do not depend on
+        # the worker count
         serial = sample_velocities_direct(goe_direct_config(), workers=1)
         threaded = sample_velocities_direct(goe_direct_config(), workers=2)
         np.testing.assert_array_equal(serial.values, threaded.values)
@@ -712,8 +783,11 @@ class TestDirectRoute:
             assert got.skipped_levels == single.skipped_levels
             assert got.runtime == single.runtime
             # and both follow the documented stream layout, replayed apart
-            # from the sampler: A from the first n*M normals, x the next n^2
-            expected = _replay_direct_realization(replace(cfg, n_channels=m), 0)
+            # from the sampler: A from the first n*M normals, then x (its
+            # reference rows for GOE)
+            replay = (_replay_direct_realization if model == "picket-fence"
+                      else _replay_goe_direct_realization)
+            expected = replay(replace(cfg, n_channels=m), 0)
             first = got.values[: got.counts[0]]
             assert np.abs(first - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -893,12 +967,13 @@ def blas():
 class TestBlasPinning:
     def test_pinned_while_sampling_and_restored(self, blas, monkeypatch):
         seen = []
+        draw = statistics._goe_tridiagonal
 
         def spy(n, rng):
             seen.append(blas.get())
-            return sample_goe(n, rng)
+            return draw(n, rng)
 
-        monkeypatch.setattr(statistics, "sample_goe", spy)
+        monkeypatch.setattr(statistics, "_goe_tridiagonal", spy)
         before = blas.get()
         samples = sample_velocities_direct(goe_direct_config(realizations=4), workers=2)
         assert seen == [1] * 4
@@ -912,7 +987,7 @@ class TestBlasPinning:
         def failing(*args, **kwargs):
             raise RuntimeError("realization failed")
 
-        monkeypatch.setattr(statistics, "sample_goe", failing)
+        monkeypatch.setattr(statistics, "_goe_tridiagonal", failing)
         before = blas.get()
         with pytest.raises(RuntimeError, match="realization failed"):
             sample_velocities_direct(goe_direct_config(realizations=4), workers=workers)
@@ -930,7 +1005,7 @@ class TestBlasPinning:
             return draw(*args)
 
         monkeypatch.setattr(statistics, "substream", spy)
-        blas.set(1)  # the count the direct route pins, so eigh gives the same bytes
+        blas.set(1)  # the count the direct route pins, so its products give the same bytes
         serial = sample_velocities_direct(goe_direct_config(), workers=2)
         assert callers == {threading.get_ident()}
         assert serial.values.tobytes() == threaded.values.tobytes()
