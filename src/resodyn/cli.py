@@ -382,21 +382,24 @@ def cmd_ensemble(ctx, model, n_levels, n_channels, realizations, window, route, 
     if p["threads"] is not None and p["threads"] < 1:
         raise click.ClickException(f"threads must be >= 1, got {p['threads']}")
 
-    # bytes per worker: a picket-fence direct-route realization draws an
-    # n x n block, projected as seven n x n matrices; a GOE one holds no
-    # n x n matrix, only about ten window x n arrays and two n x M (traced
-    # peak at n=1200, window 25, M=2: 8.3 window x n with one worker, 9.8
-    # with four); the representation route holds neither.  The direct route
-    # keeps window samples per realization, the representation route one
+    # bytes per worker, and shared: a picket-fence direct-route realization
+    # draws an n x n block, projected as seven n x n matrices per worker.  A
+    # GOE one holds no n x n matrix: the calling thread draws and finishes
+    # each realization, and a worker holds only spectra in flight (traced
+    # peak at n=1200, window 25, M=2: 8.4 window x n arrays with one worker,
+    # 9.1 with two and 9.8 with four), projected as nine window x n and two
+    # n x M shared and one window x n per worker.  The representation route
+    # holds neither.  The direct route keeps window samples per
+    # realization, the representation route one
     direct = cfg.route == "direct"
-    if not direct:
-        per_worker = 0
-    elif cfg.is_rigid:
-        per_worker = 8 * 7 * cfg.n_levels**2
-    else:
-        per_worker = 8 * cfg.n_levels * (10 * cfg.central_window + 2 * cfg.n_channels)
+    per_worker = 0
     shared = 8 * (cfg.realizations * (cfg.central_window if direct else 1)
                   + cfg.n_levels * cfg.n_channels)
+    if direct and cfg.is_rigid:
+        per_worker = 8 * 7 * cfg.n_levels**2
+    elif direct:
+        per_worker = 8 * cfg.n_levels * cfg.central_window
+        shared += 8 * cfg.n_levels * (9 * cfg.central_window + 2 * cfg.n_channels)
     cap = p["max_memory_mb"] * 2**20
     workers = p["threads"]
     if workers is None:  # every usable core whose worker fits under the cap
