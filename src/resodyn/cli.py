@@ -418,9 +418,6 @@ def cmd_ensemble(ctx, model, n_levels, n_channels, realizations, window, route, 
         samples = sample_velocities_direct(cfg, workers=workers)
     else:
         samples = sample_velocities_representation(cfg, workers=workers)
-    runtime = dict(samples.runtime)
-    if runtime["workers"] >= workers:
-        runtime["reason"] = None  # only a shortfall needs a reason
 
     half = p["range_max"]
     if half is None:
@@ -438,7 +435,7 @@ def cmd_ensemble(ctx, model, n_levels, n_channels, realizations, window, route, 
         f"# second_moment_se: {_fmt(moment_se)}",
         f"# skipped_levels: {samples.skipped_levels}",
         f"# truncation_deficit: {_fmt(samples.truncation_deficit)}",
-        f"# runtime: {json.dumps(runtime, sort_keys=True, separators=(',', ':'))}",
+        f"# runtime: {json.dumps(samples.runtime, sort_keys=True, separators=(',', ':'))}",
     ]
     table = np.column_stack([edges[:-1], edges[1:], centers, counts, density, pdf_vals])
     _emit_table(

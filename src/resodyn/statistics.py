@@ -24,13 +24,12 @@ limit, and a chi-square goodness-of-fit report for sample/curve comparison.
 Both routes draw every realization from its own counter-based RNG substream
 keyed by (seed, realization index), so their results are bit-identical for
 any number of workers and on any host.  Both may spread their realizations
-over threads, where a realization is large enough for that to pay, if
-numpy links OpenBLAS; without it they run serially.  The direct route runs
-them with that OpenBLAS pinned to one thread, because BLAS results depend
-in the last bits on the BLAS thread count.  Both GOE routes solve their
-tridiagonal spectra with that OpenBLAS's LAPACK ``sterf``, called through
-ctypes, which releases the GIL for the call; the picket-fence
-representation route has no GIL-free work and runs serially.
+over threads, where a realization is large enough for that to pay.  Both
+GOE routes solve their tridiagonal spectra on the workers with the LAPACK
+``sterf`` of the OpenBLAS that numpy links, called through ctypes, which
+releases the GIL for the call; where numpy links no OpenBLAS they run
+serially through scipy's ``dsterf``, with the same bytes.  The
+picket-fence representation route has no GIL-free work and runs serially.
 """
 
 from __future__ import annotations
@@ -152,10 +151,8 @@ class VelocitySampleSet:
     estimate of the relative variance lost to the window truncation of the
     representation-route sum, whatever the model: for GOE spectra the
     variance of y diverges (the |y|^-3 tail), so no GOE share exists.
-    `runtime` says how the samples were produced: ``workers`` used,
-    ``reason`` (why the route ran on one worker, else None), ``blas``
-    (vendor and version, or "unknown") and ``blas_threads`` (the BLAS
-    thread count while sampling, None if unknown).
+    `runtime` says how the samples were produced: ``workers`` used, and
+    ``reason``, why fewer workers ran than were requested (else None).
     """
 
     values: np.ndarray
@@ -423,35 +420,26 @@ def _pf_truncation_deficit(offsets: np.ndarray) -> float:
     return max(0.0, 1.0 - kept / total)
 
 
-@dataclass(frozen=True)
-class _OpenBLAS:
-    vendor: str
-    get: Callable[[], int]
-    set: Callable[[int], None]
-    sterf: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
 # exported names of OpenBLAS, as the (prefix, suffix) of its own functions
 # and the name of LAPACK dsterf: numpy 2's scipy-openblas build renames them
 _OPENBLAS_NAMES = (("scipy_openblas", "64_", "scipy_dsterf_64_"), ("openblas", "", "dsterf_"))
 
-# why the direct and GOE representation routes run serially
+# why the GOE routes run serially
 _NO_OPENBLAS = "numpy's OpenBLAS not found"
 
 
 @functools.cache
-def _openblas() -> _OpenBLAS | None:
-    """The OpenBLAS that numpy links: its vendor and version, its
-    thread-count getter and setter, and its LAPACK ``dsterf``; None when
-    they cannot all be found.
+def _openblas() -> Callable[[np.ndarray, np.ndarray], np.ndarray] | None:
+    """The LAPACK ``dsterf`` of the OpenBLAS that numpy links, as
+    ``sterf(diag, off)``; None when it cannot be found.
 
     Looked up once, on first use, through the handle of numpy's own
     extension module: symbol lookup on a handle also searches the libraries
-    it links, so no library path is guessed.  ``sterf(diag, off)`` takes
-    writable C-contiguous float64 arrays of the diagonal and the
-    off-diagonal, overwrites both, and returns the diagonal array holding
-    the ascending eigenvalues.  ctypes releases the GIL for the call, so
-    spectra can be solved on threads.
+    it links, so no library path is guessed.  ``sterf`` takes writable
+    C-contiguous float64 arrays of the diagonal and the off-diagonal,
+    overwrites both, and returns the diagonal array holding the ascending
+    eigenvalues.  ctypes releases the GIL for the call, so spectra can be
+    solved on threads.
     """
     try:
         from numpy._core import _multiarray_umath as umath
@@ -463,14 +451,10 @@ def _openblas() -> _OpenBLAS | None:
         return None
     for prefix, suffix, dsterf in _OPENBLAS_NAMES:
         try:
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
-            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
             config = getattr(lib, f"{prefix}_get_config{suffix}")
             call = getattr(lib, dsterf)
         except AttributeError:
             continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
         config.argtypes, config.restype = [], ctypes.c_char_p
         # "OpenBLAS <version> <build options>"; a USE64BITINT build takes
         # 64-bit LAPACK integers
@@ -494,19 +478,8 @@ def _openblas() -> _OpenBLAS | None:
                 raise np.linalg.LinAlgError(f"sterf failed with info={info.value}")
             return diag
 
-        return _OpenBLAS(" ".join(build[:2]), get, set_, sterf)
+        return sterf
     return None
-
-
-def _runtime(
-    blas: _OpenBLAS | None, workers: int, reason: str | None, blas_threads: int | None
-) -> dict:
-    return {
-        "workers": workers,
-        "reason": reason,
-        "blas": blas.vendor if blas is not None else "unknown",
-        "blas_threads": blas_threads,
-    }
 
 
 def _usable_cores() -> int:
@@ -531,33 +504,39 @@ _MIN_THREADED_LEVELS = {
 _AHEAD = 4
 
 
-def _run_realizations(
-    task, config: EnsembleConfig, workers: int, solve=None
-) -> tuple[list, int, str | None]:
-    """The results of every realization of `config`, in order, the workers
-    used, and why fewer than `workers`, if the realizations are too small
-    for threads to pay.
+def _run_realizations(task, config: EnsembleConfig, workers: int) -> tuple[list, dict]:
+    """The results of every realization of `config`, in order, and the
+    run's ``runtime``: the workers used, and why fewer than `workers`.
 
-    Without `solve`, ``task(r)`` is the result of realization r, and the
-    tasks run on the workers.  With `solve`, a realization takes three
-    steps: ``task(r)`` returns ``(finish, args)``, ``solve(*args)`` is the
-    work that releases the GIL, and ``finish(solve(*args))`` is the result.
-    `task` and `finish` then run in the calling thread, in order, while the
-    workers run `solve` a few realizations ahead: the GIL-bound steps
-    overlap the GIL-free ones instead of contending with them.
+    A picket-fence ``task(r)`` is the result of realization r, and the
+    tasks run on the workers.  A GOE realization takes three steps:
+    ``task(r)`` returns ``(finish, (diag, off))``, the spectrum of that
+    tridiagonal matrix is solved with ``sterf``, and ``finish(levels)`` is
+    the result.  `task` and `finish` then run in the calling thread, in
+    order, while the workers solve a few realizations ahead: the GIL-bound
+    steps overlap the GIL-free ones instead of contending with them.
+    ``sterf`` is that of numpy's OpenBLAS, which releases the GIL
+    (:func:`_openblas`); without it the spectra are solved serially through
+    :func:`_scipy_sterf`, with the same bytes.  Realizations too small for
+    threads to pay (:data:`_MIN_THREADED_LEVELS`) run serially as well.
     """
-    if workers > 1 and config.n_levels < _MIN_THREADED_LEVELS[config.route, config.model]:
-        workers, reason = 1, "realization too small for threads"
-    else:
-        workers, reason = max(1, workers), None
+    requested, solve, reason = max(1, workers), None, None
+    if not config.is_rigid:
+        solve = _openblas()
+        if solve is None:
+            solve, reason = _scipy_sterf, _NO_OPENBLAS
+    if reason is None and config.n_levels < _MIN_THREADED_LEVELS[config.route, config.model]:
+        reason = "realization too small for threads"
+    workers = 1 if reason else requested
+    runtime = {"workers": workers, "reason": reason if workers < requested else None}
     realizations = range(config.realizations)
     if workers == 1:
         if solve is None:
-            return [task(r) for r in realizations], 1, reason
-        return [finish(solve(*args)) for finish, args in map(task, realizations)], 1, reason
+            return [task(r) for r in realizations], runtime
+        return [finish(solve(*args)) for finish, args in map(task, realizations)], runtime
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         if solve is None:
-            return list(pool.map(task, realizations)), workers, None
+            return list(pool.map(task, realizations)), runtime
         results, pending = [], collections.deque()
         for r in realizations:
             finish, args = task(r)
@@ -566,7 +545,7 @@ def _run_realizations(
                 finish, solved = pending.popleft()
                 results.append(finish(solved.result()))
         results.extend(finish(solved.result()) for finish, solved in pending)
-        return results, workers, None
+        return results, runtime
 
 
 def _scipy_sterf(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -607,10 +586,9 @@ def sample_velocities_representation(
     the routine that ``eigvalsh_tridiagonal(..., lapack_driver="sterf")``
     calls, and each realization has its own substream, so the bytes do not
     depend on `workers`.  Where numpy links no OpenBLAS, the route runs
-    serially through ``scipy.linalg.lapack.dsterf`` with the same bytes,
-    and ``runtime["reason"]`` says so, as for the direct route.
-    Picket-fence realizations hold the GIL throughout and always run
-    serially.
+    serially through ``scipy.linalg.lapack.dsterf`` with the same bytes, as
+    the GOE direct route does (:func:`_run_realizations`).  Picket-fence
+    realizations hold the GIL throughout and always run serially.
     """
     if config.route != "representation":
         raise ValueError(f"config.route is {config.route!r}, expected 'representation'")
@@ -646,20 +624,13 @@ def sample_velocities_representation(
             tridiagonal,
         )
 
-    blas = _openblas()
-    if config.is_rigid:
-        values, used, reason = _run_realizations(one_pf, config, workers)
-    elif blas is None:
-        values, used, _ = _run_realizations(one_goe, config, 1, solve=_scipy_sterf)
-        reason = _NO_OPENBLAS
-    else:
-        values, used, reason = _run_realizations(one_goe, config, workers, solve=blas.sterf)
+    values, runtime = _run_realizations(one_pf if config.is_rigid else one_goe, config, workers)
     return VelocitySampleSet(
         values=np.array(values),
         config=config,
         counts=np.ones(config.realizations, dtype=int),
         truncation_deficit=deficit,
-        runtime=_runtime(blas, used, reason, blas.get() if blas is not None else None),
+        runtime=runtime,
     )
 
 
@@ -731,18 +702,15 @@ def sample_velocities_direct(
     the sets always had, so they are correlated across M as before.
 
     The realizations run on `workers` threads, or serially where they are
-    too small for threads to pay (:data:`_MIN_THREADED_LEVELS`), with
-    numpy's OpenBLAS pinned to one thread, whatever `workers` is, and the
-    previous BLAS thread count is restored afterwards.  Picket-fence
-    realizations run whole on the workers, which overlap in the GIL-free
-    normal draws and matrix products.  For GOE the calling thread draws
-    each realization and finishes it, in order, while the workers solve
-    the spectra a few realizations ahead (as in the representation route).
-    Pinning serial runs too keeps the bytes independent of `workers` and
-    of the host's core count.  Where numpy's OpenBLAS is not found, the
-    realizations run serially, GOE spectra through scipy's ``dsterf``
-    with the same bytes.  The BLAS thread count is process-wide, so calls
-    from several threads at once are not supported.
+    too small for threads to pay (:data:`_MIN_THREADED_LEVELS`), and each
+    draws from its own substream, so the bytes depend neither on `workers`
+    nor on the host's core count.  Picket-fence realizations run whole on
+    the workers, which overlap in the GIL-free normal draws and matrix
+    products.  For GOE the calling thread draws each realization and
+    finishes it, in order, while the workers solve the spectra a few
+    realizations ahead (as in the representation route).  Where numpy's
+    OpenBLAS is not found, GOE realizations run serially, their spectra
+    solved through scipy's ``dsterf`` with the same bytes.
     """
     return _sample_direct(config, (config.n_channels,), workers=workers)[config.n_channels]
 
@@ -821,22 +789,7 @@ def _sample_direct(
         rng = substream(config.seed, r)
         return functools.partial(finish_goe, rng), _goe_tridiagonal(n, rng)
 
-    blas = _openblas()
-    if config.is_rigid:
-        task, solve = one_pf, None
-    else:
-        task, solve = one_goe, _scipy_sterf if blas is None else blas.sterf
-    if blas is None:
-        results, _, _ = _run_realizations(task, config, 1, solve=solve)
-        runtime = _runtime(None, 1, _NO_OPENBLAS, None)
-    else:
-        previous = blas.get()
-        blas.set(1)
-        try:
-            results, used, reason = _run_realizations(task, config, workers, solve=solve)
-        finally:
-            blas.set(previous)
-        runtime = _runtime(blas, used, reason, 1)
+    results, runtime = _run_realizations(one_pf if config.is_rigid else one_goe, config, workers)
     skipped = int(sum(s for _, s in results))
     counts = np.array([window - s for _, s in results], dtype=int)
     return {

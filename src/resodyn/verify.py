@@ -33,7 +33,6 @@ from .spectral import EffectiveHamiltonian, bell_steinberger, diagonalize
 from .statistics import (
     _MAX_SEED,
     EnsembleConfig,
-    _openblas,
     _reference_levels,
     _sample_direct,
     _usable_cores,
@@ -79,8 +78,8 @@ class CheckResult:
     """Outcome of one check: the measured value, the tolerance it was
     judged against, and the seconds it took (``value`` is None when the
     check raised).  ``runtime`` is set on checks of the shared rigid sample
-    sets: the sets' own ``runtime`` (workers, reason, BLAS vendor and BLAS
-    threads)."""
+    sets: the sets' own ``runtime`` (workers, and the reason for fewer
+    workers than requested)."""
 
     name: str
     passed: bool
@@ -522,29 +521,19 @@ def _route_equivalence(seed, size):
 
 
 def _thread_determinism(seed, size):
-    # the picket-fence runs compare worker counts; the GOE runs show whether
-    # the bytes depend on the ambient BLAS thread count, set through numpy's
-    # OpenBLAS, and are skipped where that is not found.  Those runs stay
-    # serial, so that they vary the BLAS count alone
+    # serial and 3-worker runs of both direct routes, at N=250, above the
+    # thread threshold of both: picket-fence realizations run whole on the
+    # workers, GOE ones solve their spectra there
     pf_realizations, goe_realizations = size
-    cfg = EnsembleConfig(
+    pf = EnsembleConfig(
         n_levels=250, n_channels=1, realizations=pf_realizations, central_window=25,
         seed=seed, model="picket-fence", route="direct",
     )
-    identical = np.array_equal(sample_velocities_direct(cfg, workers=1).values,
-                               sample_velocities_direct(cfg, workers=3).values)
-    blas = _openblas()
-    if blas is not None:
-        cfg = replace(cfg, realizations=goe_realizations, model="goe")
-        previous = blas.get()
-        try:
-            blas.set(1)
-            one_thread = sample_velocities_direct(cfg, workers=1)
-            blas.set(2)
-            two_threads = sample_velocities_direct(cfg, workers=1)
-        finally:
-            blas.set(previous)
-        identical = identical and np.array_equal(one_thread.values, two_threads.values)
+    identical = all(
+        np.array_equal(sample_velocities_direct(cfg, workers=1).values,
+                       sample_velocities_direct(cfg, workers=3).values)
+        for cfg in (pf, replace(pf, realizations=goe_realizations, model="goe"))
+    )
     return identical, (
         "serial and 3-thread runs bit-identical" if identical else "runs differ"
     )

@@ -240,12 +240,11 @@ class TestEnsembleCommand:
             runtimes.append(json.loads(line.removeprefix("# runtime: ")))
         assert samples[0].read_bytes() == samples[1].read_bytes()
         assert b"# runtime:" not in samples[0].read_bytes()
-        assert runtimes[0]["workers"] == 1 and runtimes[0]["reason"] is None
-        if runtimes[1]["blas_threads"] == 1:
-            assert runtimes[1]["workers"] == 2 and runtimes[1]["reason"] is None
+        assert runtimes[0] == {"workers": 1, "reason": None}
+        if statistics._openblas() is not None:
+            assert runtimes[1] == {"workers": 2, "reason": None}
         else:
-            assert runtimes[1] == {"workers": 1, "reason": "numpy's OpenBLAS not found",
-                                   "blas": "unknown", "blas_threads": None}
+            assert runtimes[1] == {"workers": 1, "reason": "numpy's OpenBLAS not found"}
 
     def test_fresh_seed_is_echoed(self, runner, tmp_path):
         out = tmp_path / "hist.csv"
@@ -407,6 +406,24 @@ class TestEnsembleCommand:
         assert runtime["workers"] == 1
         assert runtime["reason"] == "realization too small for threads"
 
+    @pytest.mark.parametrize("route", ["direct", "representation"])
+    def test_goe_without_openblas_reports_a_shortfall_only(self, runner, tmp_path,
+                                                           monkeypatch, route):
+        monkeypatch.setattr(statistics, "_openblas", lambda: None)
+        args = ["ensemble", "--model", "goe", "--route", route, "--n", "120", "--m", "2",
+                "--realizations", "20", "--window", "25", "--seed", "3"]
+        runtimes = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"hist_{threads}.csv"
+            result = runner.invoke(main, [*args, "--threads", threads, "-o", str(out)])
+            assert result.exit_code == 0, result.output
+            runtimes[threads] = self._runtime(out)
+        assert runtimes == {
+            "1": {"workers": 1, "reason": None},
+            "2": {"workers": 1, "reason": "numpy's OpenBLAS not found"},
+        }
+        assert '# runtime: {"reason":null,"workers":1}' in (tmp_path / "hist_1.csv").read_text()
+
     @pytest.mark.parametrize("value", [0, -2])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_threads_below_one_refused_before_sampling(self, runner, tmp_path, monkeypatch,
@@ -538,7 +555,7 @@ class TestVerifyCommand:
         assert spot["value"] == spot["tolerance"] == [2.0 / 3.0, math.pi / 4.0]
 
     def test_report_carries_the_draw_runtime(self, runner, tmp_path, monkeypatch):
-        drawn = {"workers": 2, "reason": None, "blas": "OpenBLAS 0", "blas_threads": 1}
+        drawn = {"workers": 2, "reason": None}
         results = [
             CheckResult("kernel_spot_values", True, "spot"),
             CheckResult("rigid_variance_monte_carlo", True, "z", runtime=drawn),

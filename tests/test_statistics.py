@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 import threading
+import time
 import warnings
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -498,9 +503,8 @@ class TestRepresentationRoute:
         cfg = replace(goe_representation_config(), model=model)
         runs = {w: sample_velocities_representation(cfg, workers=w) for w in (1, 2, 3)}
         # the same route with scipy's own tridiagonal solver
-        with_scipy_sterf = replace(statistics._openblas(), sterf=partial(
-            eigvalsh_tridiagonal, lapack_driver="sterf", check_finite=False))
-        monkeypatch.setattr(statistics, "_openblas", lambda: with_scipy_sterf)
+        scipy_sterf = partial(eigvalsh_tridiagonal, lapack_driver="sterf", check_finite=False)
+        monkeypatch.setattr(statistics, "_openblas", lambda: scipy_sterf)
         reference = sample_velocities_representation(cfg)
         for run in runs.values():
             assert run.values.tobytes() == reference.values.tobytes()
@@ -534,19 +538,16 @@ class TestRepresentationRoute:
         me = threading.get_ident()
         assert callers == {("substream", me), ("_scipy_sterf", me)}
         assert fallback.values.tobytes() == threaded.values.tobytes()
-        assert fallback.runtime == {
-            "workers": 1, "reason": "numpy's OpenBLAS not found",
-            "blas": "unknown", "blas_threads": None,
-        }
+        assert fallback.runtime == {"workers": 1, "reason": "numpy's OpenBLAS not found"}
 
 
 @pytest.fixture
 def openblas_sterf():
     """The LAPACK dsterf of numpy's OpenBLAS, called through ctypes."""
-    blas = statistics._openblas()
-    if blas is None:
+    sterf = statistics._openblas()
+    if sterf is None:
         pytest.skip("numpy links no OpenBLAS here")
-    return blas.sterf
+    return sterf
 
 
 class TestGilFreeSterf:
@@ -952,50 +953,62 @@ class TestCompareHistogram:
         np.testing.assert_allclose(widths, widths[0], rtol=1e-9)
 
 
-@pytest.fixture
-def blas():
-    """numpy's BLAS thread control, set to 2 threads for the test."""
-    control = statistics._openblas()
-    if control is None:
-        pytest.skip("numpy's BLAS thread count cannot be controlled here")
-    original = control.get()
-    control.set(2)  # not the pinned count, so a missed restore shows
-    yield control
-    control.set(original)
+# the four direct-route sets of each model at N=250, one line per model:
+# its name and the SHA-256 of the sets' bytes
+_DIRECT_DIGESTS = """
+import hashlib
+from resodyn.statistics import EnsembleConfig, _sample_direct
+for model in ("picket-fence", "goe"):
+    cfg = EnsembleConfig(n_levels=250, n_channels=1, realizations=12, central_window=25,
+                         seed=41, model=model, route="direct")
+    sets = _sample_direct(cfg, (1, 2, 5, 10), workers=2)
+    print(model, hashlib.sha256(b"".join(s.values.tobytes() for s in sets.values())).hexdigest())
+"""
 
 
-class TestBlasPinning:
-    def test_pinned_while_sampling_and_restored(self, blas, monkeypatch):
-        seen = []
-        draw = statistics._goe_tridiagonal
+class TestDirectRouteThreads:
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self):
+        # the direct route sets no BLAS thread count; its bytes must not
+        # depend on the one numpy's BLAS starts with
+        src = Path(statistics.__file__).resolve().parents[1]
+        digests = {}
+        for count in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": count, "PYTHONPATH": os.pathsep.join(
+                filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+            done = subprocess.run([sys.executable, "-c", _DIRECT_DIGESTS], env=env,
+                                  capture_output=True, text=True, timeout=300, check=True)
+            digests[count] = done.stdout
+        assert digests["1"] == digests["2"]
+        assert [line.split()[0] for line in digests["1"].splitlines()] == ["picket-fence", "goe"]
 
-        def spy(n, rng):
-            seen.append(blas.get())
-            return draw(n, rng)
+    def test_concurrent_calls_give_the_serial_bytes(self):
+        # a second call starts while the first one runs, and ends after it
+        cfgs = (pf_config(m=2, realizations=100, seed=61),
+                pf_config(m=2, realizations=400, seed=62))
+        results, spans = {}, {}
 
-        monkeypatch.setattr(statistics, "_goe_tridiagonal", spy)
-        before = blas.get()
-        samples = sample_velocities_direct(goe_direct_config(realizations=4), workers=2)
-        assert seen == [1] * 4
-        assert blas.get() == before
-        assert samples.runtime == {
-            "workers": 2, "reason": None, "blas": blas.vendor, "blas_threads": 1,
-        }
+        def run(cfg):
+            start = time.perf_counter()
+            results[cfg.seed] = sample_velocities_direct(cfg, workers=2)
+            spans[cfg.seed] = (start, time.perf_counter())
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_restored_when_a_realization_raises(self, blas, monkeypatch, workers):
-        def failing(*args, **kwargs):
-            raise RuntimeError("realization failed")
+        threads = [threading.Thread(target=run, args=(cfg,)) for cfg in cfgs]
+        threads[0].start()
+        time.sleep(0.05)
+        threads[1].start()
+        for thread in threads:
+            thread.join()
+        assert spans[62][0] < spans[61][1]  # the calls overlapped
+        for cfg in cfgs:
+            serial = sample_velocities_direct(cfg, workers=1)
+            assert results[cfg.seed].values.tobytes() == serial.values.tobytes()
+            assert results[cfg.seed].runtime == {"workers": 2, "reason": None}
 
-        monkeypatch.setattr(statistics, "_goe_tridiagonal", failing)
-        before = blas.get()
-        with pytest.raises(RuntimeError, match="realization failed"):
-            sample_velocities_direct(goe_direct_config(realizations=4), workers=workers)
-        assert blas.get() == before
 
-    def test_serial_without_blas_control(self, blas, monkeypatch):
+class TestWithoutOpenBLAS:
+    def test_goe_direct_runs_serially(self, monkeypatch):
         threaded = sample_velocities_direct(goe_direct_config(), workers=2)
-        assert threaded.runtime["workers"] == 2
+        assert threaded.runtime["workers"] == (1 if statistics._openblas() is None else 2)
         monkeypatch.setattr(statistics, "_openblas", lambda: None)
         callers = set()
         draw = statistics.substream
@@ -1005,11 +1018,15 @@ class TestBlasPinning:
             return draw(*args)
 
         monkeypatch.setattr(statistics, "substream", spy)
-        blas.set(1)  # the count the direct route pins, so its products give the same bytes
         serial = sample_velocities_direct(goe_direct_config(), workers=2)
         assert callers == {threading.get_ident()}
         assert serial.values.tobytes() == threaded.values.tobytes()
-        assert serial.runtime == {
-            "workers": 1, "reason": "numpy's OpenBLAS not found",
-            "blas": "unknown", "blas_threads": None,
-        }
+        assert serial.runtime == {"workers": 1, "reason": "numpy's OpenBLAS not found"}
+
+    def test_picket_fence_direct_keeps_its_workers(self, monkeypatch):
+        cfg = pf_config(m=2, realizations=30, seed=13)
+        serial = sample_velocities_direct(cfg, workers=1)
+        monkeypatch.setattr(statistics, "_openblas", lambda: None)
+        threaded = sample_velocities_direct(cfg, workers=2)
+        assert threaded.values.tobytes() == serial.values.tobytes()
+        assert threaded.runtime == {"workers": 2, "reason": None}

@@ -154,7 +154,7 @@ def test_rigid_variance_judged_at_finite_n():
 
 
 def test_rigid_checks_carry_the_draw_runtime(draws, monkeypatch):
-    runtime = {"workers": 2, "reason": None, "blas": "OpenBLAS 0", "blas_threads": 1}
+    runtime = {"workers": 2, "reason": None}
     sets = {m: SimpleNamespace(runtime=runtime) for m in verify.RIGID_CHANNELS}
     monkeypatch.setattr(verify, "rigid_samples", lambda seed: sets)
     results = verify.run_checks("full", seed=11)
@@ -162,57 +162,23 @@ def test_rigid_checks_carry_the_draw_runtime(draws, monkeypatch):
     assert all(r.runtime is None for r in verify.run_checks("fast"))
 
 
-@pytest.fixture
-def blas_control():
-    control = statistics._openblas()
-    if control is None:
-        pytest.skip("numpy's BLAS thread count cannot be controlled here")
-    original = control.get()
-    control.set(3)  # neither ambient count of the check, so a missed restore shows
-    yield control
-    control.set(original)
-
-
-def test_thread_determinism_varies_the_ambient_blas_count(blas_control, monkeypatch):
-    seen = []
-
-    def spy(config, *, workers):
-        seen.append((config.model, workers, blas_control.get()))
-        return sample_velocities_direct(config, workers=workers)
-
-    monkeypatch.setattr(verify, "sample_velocities_direct", spy)
-    identical, detail = verify._thread_determinism(7, (4, 3))
-    assert (identical, detail) == (True, "serial and 3-thread runs bit-identical")
-    assert seen == [
-        ("picket-fence", 1, 3), ("picket-fence", 3, 3), ("goe", 1, 1), ("goe", 1, 2),
-    ]
-    assert blas_control.get() == 3
-
-
-def test_thread_determinism_restores_the_blas_count(blas_control, monkeypatch):
-    def failing(config, *, workers):
-        if config.model == "goe":
-            raise RuntimeError("draw failed")
-        return SimpleNamespace(values=np.zeros(3))
-
-    monkeypatch.setattr(verify, "sample_velocities_direct", failing)
-    with pytest.raises(RuntimeError, match="draw failed"):
-        verify._thread_determinism(7, (4, 3))
-    assert blas_control.get() == 3
-
-
 def test_thread_determinism_without_blas_control(monkeypatch):
-    kinds = []
+    # serial against 3 workers for both direct routes, at a size where the
+    # 3-worker runs really use their threads; no BLAS thread count is set
+    seen, used = [], []
 
     def spy(config, *, workers):
-        kinds.append(config.model)
-        return sample_velocities_direct(config, workers=workers)
+        seen.append((config.model, workers))
+        samples = sample_velocities_direct(config, workers=workers)
+        used.append(samples.runtime["workers"])
+        return samples
 
-    monkeypatch.setattr(verify, "_openblas", lambda: None)
     monkeypatch.setattr(verify, "sample_velocities_direct", spy)
     assert verify._thread_determinism(7, (4, 3)) == (
         True, "serial and 3-thread runs bit-identical")
-    assert kinds == ["picket-fence", "picket-fence"]
+    assert seen == [("picket-fence", 1), ("picket-fence", 3), ("goe", 1), ("goe", 3)]
+    goe_threads = 1 if statistics._openblas() is None else 3
+    assert used == [1, 3, 1, goe_threads]
 
 
 def test_rigid_samples_drawn_once_per_call(draws):
